@@ -43,8 +43,8 @@ from repro.serving.fleet import FleetConfig, FleetManager, FleetReport
 from repro.serving.loadgen import LoadSpec, generate_load
 from repro.serving.powercap import PowerCapConfig, PowerCapPhase
 from repro.serving.sdc import SdcConfig
-from repro.sim.parallel import prewarm_measurements, run_sharded
-from repro.serving.server import RasConfig, TenantConfig
+from repro.sim.parallel import run_sharded
+from repro.serving.server import RasConfig, TenantConfig, measure_service_time_ns
 from repro.serving.workload import Request, TrafficPattern, generate_trace
 
 __all__ = [
@@ -1328,16 +1328,14 @@ def run_suite(
     if measured:
         # Warm the measurement memo once in the parent; otherwise every
         # shard re-measures the same tenant models from scratch.
-        prewarm_measurements(
-            sorted(
-                {
-                    (tenant.model, tenant.groups)
-                    for name in selected
-                    for tenant in SCENARIOS[name].tenants
-                }
-            ),
-            workers=workers,
-        )
+        for model, groups in sorted(
+            {
+                (tenant.model, tenant.groups)
+                for name in selected
+                for tenant in SCENARIOS[name].tenants
+            }
+        ):
+            measure_service_time_ns(model, groups)
     suite = SuiteResult(seed=seed)
     suite.results = run_sharded(
         _run_scenario_task,

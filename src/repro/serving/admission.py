@@ -242,3 +242,24 @@ class AdmissionController:
         ):
             return AdmissionDecision(False, "deadline")
         return AdmissionDecision(True)
+
+    def admit(
+        self,
+        slo_class: str,
+        depths,
+        predicted_wait_ns: float,
+        service_ns: float,
+        pressure_floor: float = 0.0,
+    ) -> AdmissionDecision:
+        """One arrival end to end: backpressure, brownout step, decision.
+
+        ``depths`` maps class name -> queued-or-in-flight count at the
+        arrival (``depths.get(name, 0)``). ``pressure_floor`` is an
+        outside brownout driver — the fleet passes its power governor's
+        throttle pressure, so a capped fleet escalates brownout instead
+        of queueing into SLO misses it cannot serve at the throttled rate.
+        """
+        self.update(max(self.backpressure(depths), pressure_floor))
+        return self.decide(
+            slo_class, depths.get(slo_class, 0), predicted_wait_ns, service_ns
+        )

@@ -48,19 +48,20 @@ from repro.models.zoo import build
 from repro.runtime.runtime import Device
 from repro.seeding import derive_rng, derive_seed
 from repro.serving.routing import (
-    DepthView,
+    Backlog,
     PowerAwareRouter,
-    PrunedFinishes,
     ReplicaStatus,
     make_router,
     resolve_routing,
 )
 from repro.serving.server import (
+    ClassBook,
     RasConfig,
     SloClassStats,
     TenantConfig,
     batch_service_time_ns,
     measure_service_time_ns,
+    tail_percentiles,
 )
 from repro.serving.workload import Request
 
@@ -415,23 +416,11 @@ class FleetManager:
         self.sdc_config = sdc
         self._sdc = None
         self.service_times_ns = dict(service_times_ns or {})
-        missing = [
-            tenant for tenant in tenants
-            if tenant.name not in self.service_times_ns
-        ]
-        if missing:
-            # Independent simulations: warm the measurement memo across
-            # worker processes (bit-identical merge — repro.sim.parallel),
-            # then measure_service_time_ns below is pure cache hits.
-            from repro.sim.parallel import prewarm_measurements
-
-            prewarm_measurements(
-                (tenant.model, tenant.groups) for tenant in missing
-            )
-        for tenant in missing:
-            self.service_times_ns[tenant.name] = measure_service_time_ns(
-                tenant.model, tenant.groups
-            )
+        for tenant in tenants:
+            if tenant.name not in self.service_times_ns:
+                self.service_times_ns[tenant.name] = measure_service_time_ns(
+                    tenant.model, tenant.groups
+                )
         # Replica selection: "heap" (the O(log N) fast path, default) or
         # "reference" (the pinned O(N) scans) — explicit arg wins over the
         # REPRO_FLEET_ROUTING environment override. Both produce
@@ -565,20 +554,24 @@ class FleetManager:
         events: list[LifecycleEvent] = list(self._bringup_events)
         stats = {name: FleetTenantStats(tenant=name) for name in self.tenants}
         latencies: dict[str, list[float]] = {name: [] for name in self.tenants}
-        class_latencies: dict[tuple[str, str], list[float]] = {}
+        # Per-class accounting exists only under an admission policy.
+        books = (
+            {name: ClassBook() for name in self.tenants}
+            if self._admission_ctl is not None
+            else None
+        )
         # Bounded per-tenant / fleet-wide per-class finish times: the
         # admission layer's queue depths and backpressure read these (the
         # fleet is one shared pool). Maintained only when something reads
         # them, and pruned as depth queries move forward in time.
-        finishes: dict[str, PrunedFinishes] = {
-            name: PrunedFinishes() for name in self.tenants
-        }
-        class_finishes: dict[str, PrunedFinishes] = {}
-        track_tenant_finishes = (
-            self._admission_ctl is None
-            and self.ras.queue_depth_limit is not None
+        backlog = Backlog(
+            self.tenants,
+            flat=(
+                self._admission_ctl is None
+                and self.ras.queue_depth_limit is not None
+            ),
+            classes=self._admission_ctl is not None,
         )
-        track_class_finishes = self._admission_ctl is not None
         counters = _RunCounters()
         counters.min_healthy = router.active_count()
         horizon = 0.0
@@ -616,9 +609,7 @@ class FleetManager:
                 elif due_scale and (
                     not due_screen or next_tick <= screen_next
                 ):
-                    self._autoscale_tick(
-                        next_tick, class_finishes, events, counters
-                    )
+                    self._autoscale_tick(next_tick, backlog, events, counters)
                     next_tick += (
                         self._autoscaler.config.eval_interval_ms * 1e6
                     )
@@ -630,6 +621,7 @@ class FleetManager:
             router.advance(arrival)
             self._advance(arrival, events, counters)
             tenant_stats = stats[request.tenant]
+            book = books[request.tenant] if books is not None else None
             tenant_stats.offered += 1
             active = router.active_count()
             if active and governor is not None:
@@ -645,16 +637,12 @@ class FleetManager:
                         is ReplicaStatus.ACTIVE
                     )
             if not active:
-                tenant_stats.shed += 1
                 tenant_stats.shed_no_capacity += 1
-                self._note_shed(tenant_stats, request, "no-capacity")
+                self._note_shed(tenant_stats, book, request, "no-capacity")
                 continue
-            shed_reason = self._admission_shed(
-                request, finishes[request.tenant], class_finishes
-            )
+            shed_reason = self._admission_shed(request, backlog)
             if shed_reason is not None:
-                tenant_stats.shed += 1
-                self._note_shed(tenant_stats, request, shed_reason)
+                self._note_shed(tenant_stats, book, request, shed_reason)
                 continue
             members = self._coalesce(trace, index, joined)
             for member in members[1:]:
@@ -666,33 +654,20 @@ class FleetManager:
                 tenant_stats.hedged += len(members)
                 counters.hedged_requests += len(members)
             for member in members:
-                final = self._apply_deadline(status, member, finish)
+                final = self.ras.deadline_status(status, member, finish)
                 latency_ms = (finish - member.arrival_ns) / 1e6
                 if final == "ok":
                     tenant_stats.served += 1
                     latencies[member.tenant].append(latency_ms)
-                    if self._admission_ctl is not None:
-                        class_latencies.setdefault(
-                            (member.tenant, member.slo_class), []
-                        ).append(latency_ms)
-                        self._class_stat(tenant_stats, member).served += 1
                     if self._autoscaler is not None:
                         self._autoscaler.observe(member.slo_class, latency_ms)
                 else:
                     tenant_stats.failed += 1
-                    if self._admission_ctl is not None:
-                        self._class_stat(tenant_stats, member).failed += 1
-                if self._admission_ctl is not None:
-                    self._class_stat(tenant_stats, member).offered += 1
-                if track_tenant_finishes:
-                    finishes[member.tenant].push(finish)
-                if track_class_finishes:
-                    entry = class_finishes.get(member.slo_class)
-                    if entry is None:
-                        entry = class_finishes[member.slo_class] = (
-                            PrunedFinishes()
-                        )
-                    entry.push(finish)
+                if book is not None:
+                    book.settle(
+                        member.slo_class, latency_ms if final == "ok" else None
+                    )
+                backlog.push(member, finish)
             horizon = max(horizon, finish)
         if screen_next is not None:
             # Let the screener finish sweeping the served interval, so
@@ -708,19 +683,12 @@ class FleetManager:
             while gov_next - governor.window_ns < horizon:
                 self._powercap_tick(gov_next)
                 gov_next += governor.window_ns
-        for name, values in latencies.items():
-            if values:
-                array = np.asarray(values)
-                stats[name].p50_ms = float(np.percentile(array, 50))
-                stats[name].p95_ms = float(np.percentile(array, 95))
-                stats[name].p99_ms = float(np.percentile(array, 99))
-        if self._admission_ctl is not None:
-            from repro.obs.metrics import DEFAULT_BUCKETS_MS
-
-            for (tenant, slo_class), values in class_latencies.items():
-                stats[tenant].by_class[slo_class].set_percentiles(
-                    values, DEFAULT_BUCKETS_MS
-                )
+        for name, entry in stats.items():
+            entry.p50_ms, entry.p95_ms, entry.p99_ms = tail_percentiles(
+                latencies[name]
+            )
+            if books is not None:
+                entry.by_class = books[name].finish()
         events.sort(key=lambda event: event.time_ns)
         horizon = max(
             [horizon] + [event.time_ns for event in events] or [0.0]
@@ -784,26 +752,19 @@ class FleetManager:
             last[key] = index
         return chain
 
-    def _class_stat(
-        self, tenant_stats: FleetTenantStats, request: Request
-    ) -> SloClassStats:
-        by_class = tenant_stats.by_class
-        if request.slo_class not in by_class:
-            by_class[request.slo_class] = SloClassStats(
-                slo_class=request.slo_class
-            )
-        return by_class[request.slo_class]
-
+    @staticmethod
     def _note_shed(
-        self, tenant_stats: FleetTenantStats, request: Request, reason: str
+        tenant_stats: FleetTenantStats,
+        book: ClassBook | None,
+        request: Request,
+        reason: str,
     ) -> None:
+        tenant_stats.shed += 1
         tenant_stats.shed_reasons[reason] = (
             tenant_stats.shed_reasons.get(reason, 0) + 1
         )
-        if self._admission_ctl is not None:
-            entry = self._class_stat(tenant_stats, request)
-            entry.offered += 1
-            entry.record_shed(reason)
+        if book is not None:
+            book.shed(request.slo_class, reason)
 
     def _coalesce(
         self, trace: list[Request], index: int, joined: list[bool]
@@ -861,7 +822,7 @@ class FleetManager:
     def _autoscale_tick(
         self,
         now: float,
-        class_finishes: dict[str, PrunedFinishes],
+        backlog: Backlog,
         events: list[LifecycleEvent],
         counters: "_RunCounters",
     ) -> None:
@@ -875,7 +836,7 @@ class FleetManager:
         backpressure = 0.0
         if self._admission_ctl is not None:
             backpressure = self._admission_ctl.backpressure(
-                DepthView(class_finishes, now)
+                backlog.class_depths(now)
             )
         power_feasible = True
         if self._governor is not None:
@@ -936,44 +897,34 @@ class FleetManager:
 
     # -- routing + serving ---------------------------------------------------
 
-    def _admission_shed(
-        self,
-        request: Request,
-        finishes: PrunedFinishes,
-        class_finishes: dict[str, PrunedFinishes],
-    ) -> str | None:
+    def _admission_shed(self, request: Request, backlog: Backlog) -> str | None:
         """Admission control at the fleet door; returns a shed reason or
         ``None`` to admit.
 
         With an :class:`~repro.serving.admission.AdmissionPolicy`
         attached, the request's SLO class gets the full treatment —
         bounded per-class queue, deadline-aware early shedding, brownout
-        — driven by fleet-wide per-class depths. Without one, the legacy
-        flat per-tenant ``ras.queue_depth_limit`` applies.
+        — driven by fleet-wide per-class depths, with the power
+        governor's throttle pressure as a brownout floor. Without one,
+        the legacy flat per-tenant ``ras.queue_depth_limit`` applies.
         """
         now = request.arrival_ns
         if self._admission_ctl is not None:
-            ctl = self._admission_ctl
-            depths = DepthView(class_finishes, now)
-            pressure = ctl.backpressure(depths)
-            if self._governor is not None:
-                # Sustained power throttle reads as backpressure: a capped
-                # fleet escalates brownout instead of queueing into SLO
-                # misses it cannot serve at the throttled rate.
-                pressure = max(pressure, self._governor.power_pressure())
-            ctl.update(pressure)
-            earliest = self._router.earliest_start(now)
-            decision = ctl.decide(
+            decision = self._admission_ctl.admit(
                 request.slo_class,
-                depths.get(request.slo_class, 0),
-                earliest - now,
+                backlog.class_depths(now),
+                self._router.earliest_start(now) - now,
                 self.service_times_ns[request.tenant],
+                pressure_floor=(
+                    self._governor.power_pressure()
+                    if self._governor is not None
+                    else 0.0
+                ),
             )
             return None if decision.admitted else decision.reason
-        limit = self.ras.queue_depth_limit
-        if limit is None:
-            return None
-        return "queue-full" if finishes.depth(now) >= limit else None
+        if self.ras.queue_full(backlog.tenants[request.tenant], now):
+            return "queue-full"
+        return None
 
     def _dispatch(
         self,
@@ -1120,17 +1071,6 @@ class FleetManager:
                     )
                     continue
             return now, "ok", retries, corrupted
-
-    def _apply_deadline(
-        self, status: str, request: Request, finish: float
-    ) -> str:
-        if (
-            status == "ok"
-            and self.ras.deadline_ms is not None
-            and (finish - request.arrival_ns) > self.ras.deadline_ms * 1e6
-        ):
-            return "failed"
-        return status
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -52,6 +52,7 @@ from enum import Enum
 from heapq import heappop, heappush
 
 __all__ = [
+    "Backlog",
     "DepthView",
     "FleetRouter",
     "HeapRouter",
@@ -481,6 +482,35 @@ class PrunedFinishes:
 
     def __len__(self) -> int:
         return len(self._heap)
+
+
+class Backlog:
+    """Finish times of admitted requests, per tenant and per SLO class.
+
+    Tenant depths feed the flat ``queue_depth_limit`` check and class
+    depths the admission policy; each side is recorded only when its
+    reader exists (``flat`` / ``classes``).
+    """
+
+    __slots__ = ("tenants", "classes", "_flat", "_by_class")
+
+    def __init__(self, tenants, flat: bool, classes: bool) -> None:
+        self.tenants = {name: PrunedFinishes() for name in tenants}
+        self.classes: dict[str, PrunedFinishes] = {}
+        self._flat = flat
+        self._by_class = classes
+
+    def push(self, request, finish: float) -> None:
+        if self._flat:
+            self.tenants[request.tenant].push(finish)
+        if self._by_class:
+            entry = self.classes.get(request.slo_class)
+            if entry is None:
+                entry = self.classes[request.slo_class] = PrunedFinishes()
+            entry.push(finish)
+
+    def class_depths(self, now: float) -> "DepthView":
+        return DepthView(self.classes, now)
 
 
 class DepthView:

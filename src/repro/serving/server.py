@@ -60,7 +60,7 @@ from repro.models.zoo import build
 from repro.perfmodel.calibration import calibration
 from repro.runtime.runtime import Device
 from repro.seeding import derive_rng
-from repro.serving.routing import DepthView, PrunedFinishes
+from repro.serving.routing import Backlog, PrunedFinishes
 from repro.serving.workload import Request
 
 
@@ -156,6 +156,25 @@ class RasConfig:
             reject(
                 f"deadline_ms must be > 0 or None, got {self.deadline_ms}"
             )
+
+    def deadline_status(self, status: str, request: Request, finish: float) -> str:
+        """Apply the per-request deadline: late completions count failed."""
+        if (
+            status == "ok"
+            and self.deadline_ms is not None
+            and (finish - request.arrival_ns) > self.deadline_ms * 1e6
+        ):
+            return "failed"
+        return status
+
+    def queue_full(self, finishes: PrunedFinishes, now: float) -> bool:
+        """Flat admission: is the tenant's queue at ``queue_depth_limit``?
+
+        ``finishes`` holds the finish times of the tenant's scheduled
+        requests; entries still beyond ``now`` are queued or in service.
+        """
+        limit = self.queue_depth_limit
+        return limit is not None and finishes.depth(now) >= limit
 
 
 class TenantHealth:
@@ -307,6 +326,57 @@ class SloClassStats:
         }
 
 
+class ClassBook:
+    """Per-SLO-class :class:`SloClassStats` for one tenant.
+
+    Requests are booked as they settle (served with a latency, failed, or
+    shed with a reason); :meth:`finish` fills the bucket-interpolated
+    percentiles and returns the classes in name order.
+    """
+
+    def __init__(self) -> None:
+        self._stats: dict[str, SloClassStats] = {}
+        self._latencies: dict[str, list[float]] = {}
+
+    def _entry(self, slo_class: str) -> SloClassStats:
+        entry = self._stats.get(slo_class)
+        if entry is None:
+            entry = self._stats[slo_class] = SloClassStats(slo_class=slo_class)
+        entry.offered += 1
+        return entry
+
+    def settle(self, slo_class: str, latency_ms: float | None) -> None:
+        """One completed request: served at ``latency_ms``, or failed."""
+        entry = self._entry(slo_class)
+        if latency_ms is None:
+            entry.failed += 1
+        else:
+            entry.served += 1
+            self._latencies.setdefault(slo_class, []).append(latency_ms)
+
+    def shed(self, slo_class: str, reason: str) -> None:
+        self._entry(slo_class).record_shed(reason)
+
+    def finish(self) -> dict[str, SloClassStats]:
+        from repro.obs.metrics import DEFAULT_BUCKETS_MS
+
+        for slo_class, values in self._latencies.items():
+            self._stats[slo_class].set_percentiles(values, DEFAULT_BUCKETS_MS)
+        return dict(sorted(self._stats.items()))
+
+
+def tail_percentiles(latencies_ms) -> tuple[float, float, float]:
+    """Exact p50/p95/p99 of a tenant's served latencies (0s when empty)."""
+    if len(latencies_ms) == 0:
+        return 0.0, 0.0, 0.0
+    array = np.asarray(latencies_ms)
+    return (
+        float(np.percentile(array, 50)),
+        float(np.percentile(array, 95)),
+        float(np.percentile(array, 99)),
+    )
+
+
 @dataclass
 class TenantReport:
     """Serving statistics for one tenant over a run."""
@@ -361,7 +431,6 @@ def measure_service_time_ns(
     groups: int,
     obs=None,
     fault_plan: FaultPlan | None = None,
-    use_cache: bool = True,
 ) -> float:
     """One detailed-simulator run: the per-inference service time.
 
@@ -378,12 +447,9 @@ def measure_service_time_ns(
     deterministic, so re-measuring (model, groups) always reproduces the
     cached latency. Measurements with a hub or fault plan attached bypass
     the memo: their spans and fault timelines are the point of running
-    them. ``use_cache=False`` bypasses the memo in both directions — the
-    sharded pre-warm (:func:`repro.sim.parallel.prewarm_measurements`)
-    measures in worker processes this way and seeds the parent's memo
-    itself, keeping cache statistics identical to a serial run.
+    them.
     """
-    memoizable = use_cache and obs is None and fault_plan is None
+    memoizable = obs is None and fault_plan is None
     if memoizable:
         cached = MEASUREMENT_CACHE.get(MeasurementCache.key_for(model, groups))
         if cached is not None:
@@ -481,18 +547,6 @@ class InferenceServer:
             for tenant in tenants
             if tenant.name not in self.service_times_ns
         }
-        if obs is None and measurement_fault_plan is None:
-            # Plain measurements are memoizable, hence independent
-            # simulations: warm the memo across worker processes first
-            # (bit-identical to serial — see repro.sim.parallel), then
-            # the loop below is pure cache hits.
-            from repro.sim.parallel import prewarm_measurements
-
-            prewarm_measurements(
-                (tenant.model, tenant.groups)
-                for tenant in tenants
-                if tenant.name not in self.service_times_ns
-            )
         for tenant in tenants:
             if tenant.name not in self.service_times_ns:
                 self.service_times_ns[tenant.name] = measure_service_time_ns(
@@ -588,16 +642,6 @@ class InferenceServer:
                 * (self.ras.backoff_factor ** (retries - 1))
             )
 
-    def _final_status(self, status: str, request: Request, finish: float) -> str:
-        """Apply the per-request deadline: late completions count failed."""
-        if (
-            status == "ok"
-            and self.ras.deadline_ms is not None
-            and (finish - request.arrival_ns) > self.ras.deadline_ms * 1e6
-        ):
-            return "failed"
-        return status
-
     # -- simulation ----------------------------------------------------------
 
     def run(self, trace: list[Request]) -> dict[str, TenantReport]:
@@ -614,16 +658,20 @@ class InferenceServer:
         """
         if self._admission_ctl is not None:
             self._admission_ctl.reset()
-        if self.isolated:
-            completed: list[CompletedRequest] = []
-            shed: list[tuple[Request, str]] = []
-            for name in self.tenants:
-                tenant_trace = [r for r in trace if r.tenant == name]
-                done, dropped = self._run_single_queue(tenant_trace, name)
-                completed.extend(done)
-                shed.extend(dropped)
-        else:
-            completed, shed = self._run_shared_queue(trace)
+        queues = (
+            [
+                ([r for r in trace if r.tenant == name], name)
+                for name in self.tenants
+            ]
+            if self.isolated
+            else [(trace, "shared")]
+        )
+        completed: list[CompletedRequest] = []
+        shed: list[tuple[Request, str]] = []
+        for queue_trace, rng_label in queues:
+            done, dropped = self._run_queue(queue_trace, rng_label)
+            completed.extend(done)
+            shed.extend(dropped)
         reports = self._report(completed, trace, shed)
         if self.obs is not None:
             self._emit_observability(completed, shed, reports)
@@ -767,51 +815,14 @@ class InferenceServer:
             min_groups=self.ras.min_groups,
         )
 
-    def _shed_at_arrival(
-        self, request: Request, finishes: PrunedFinishes
-    ) -> bool:
-        """Admission control: is the queue too deep at this arrival?
-
-        ``finishes`` holds the finish times of this tenant's scheduled
-        requests still beyond a past arrival — entries the pruned
-        structure has not yet dropped are requests queued or in service.
-        """
-        limit = self.ras.queue_depth_limit
-        if limit is None:
-            return False
-        return finishes.depth(request.arrival_ns) >= limit
-
-    def _admission_decision(
-        self,
-        head: Request,
-        free_at: float,
-        class_finishes: dict[str, PrunedFinishes],
-        service_ns: float,
-    ):
-        """Class-aware admission for one arrival (policy attached only).
-
-        The brownout level steps on every arrival from the backpressure
-        signal (worst per-class queue fullness), then the class's bounded
-        queue and deadline check decide the request's fate.
-        """
-        ctl = self._admission_ctl
-        now = head.arrival_ns
-        depths = DepthView(class_finishes, now)
-        ctl.update(ctl.backpressure(depths))
-        predicted_wait = max(0.0, free_at - now)
-        return ctl.decide(
-            head.slo_class, depths.get(head.slo_class, 0),
-            predicted_wait, service_ns,
-        )
-
     def _collect_batch(
         self,
         trace: list[Request],
         index: int,
         start: float,
         tenant: TenantConfig,
-        served: list[bool] | None = None,
-    ) -> tuple[list[Request], int]:
+        served: list[bool],
+    ) -> list[Request]:
         """Dynamic + continuous batching from ``trace[index]`` onward.
 
         Requests already waiting at ``start`` join as before; with a
@@ -819,9 +830,11 @@ class InferenceServer:
         to ``start + window`` (continuous batching) — still capped at
         ``max_batch`` and, when SLO classes are in play, restricted to
         the head's class so one slow batch-class batch never captures an
-        interactive request. Returns the batch and the next probe index
-        (single-queue mode); shared mode passes ``served`` flags instead
-        and ignores the probe index.
+        interactive request. Joiners are marked in ``served``.
+
+        The one isolated-vs-shared rule: an isolated slice is FIFO, so a
+        request that does not match the head closes the batch (it must be
+        served next); the shared queue skips it, and it keeps its place.
         """
         head = trace[index]
         window_ns = tenant.coalesce_window_ms * 1e6
@@ -834,105 +847,40 @@ class InferenceServer:
             and trace[probe].arrival_ns <= horizon
         ):
             candidate = trace[probe]
-            eligible = (
-                candidate.tenant == head.tenant
+            if (
+                not served[probe]
+                and candidate.tenant == head.tenant
                 and candidate.slo_class == head.slo_class
-                and (served is None or not served[probe])
-            )
-            if eligible:
+            ):
                 batch.append(candidate)
-                if served is not None:
-                    served[probe] = True
-            elif served is None:
-                # Single-queue mode is FIFO per tenant: a non-matching
-                # request closes the batch (it must be served next).
+                served[probe] = True
+            elif self.isolated:
                 break
             probe += 1
-        return batch, probe
+        return batch
 
-    def _run_single_queue(
-        self, trace: list[Request], tenant_name: str
+    def _run_queue(
+        self, trace: list[Request], rng_label: str
     ) -> tuple[list[CompletedRequest], list[tuple[Request, str]]]:
-        tenant = self.tenants[tenant_name]
-        rng = self._rng(tenant_name)
-        health = self._health(tenant)
-        completed: list[CompletedRequest] = []
-        shed: list[tuple[Request, str]] = []
-        # Bounded depth tracking: maintained only for the admission path
-        # that actually reads it, pruned as arrivals move forward.
-        finishes = PrunedFinishes()
-        class_finishes: dict[str, PrunedFinishes] = {}
-        track_finishes = (
-            self._admission_ctl is None
-            and self.ras.queue_depth_limit is not None
-        )
-        track_classes = self._admission_ctl is not None
-        free_at = 0.0
-        index = 0
-        while index < len(trace):
-            head = trace[index]
-            if self._admission_ctl is not None:
-                base = self._service_time(tenant_name, health.available)
-                decision = self._admission_decision(
-                    head, free_at, class_finishes,
-                    batch_service_time_ns(base, 1),
-                )
-                if not decision.admitted:
-                    shed.append((head, decision.reason))
-                    index += 1
-                    continue
-            elif self._shed_at_arrival(head, finishes):
-                shed.append((head, "queue-full"))
-                index += 1
-                continue
-            start = max(head.arrival_ns, free_at)
-            batch, probe = self._collect_batch(trace, index, start, tenant)
-            # Continuous batching: the launch waits for its last joiner.
-            start = max(start, batch[-1].arrival_ns)
-            base = self._service_time(tenant_name, health.available)
-            degraded = health.degraded
-            finish, status, retries = self._serve_batch(
-                len(batch), start, base, health, rng
-            )
-            for request in batch:
-                completed.append(
-                    CompletedRequest(
-                        request=request, start_ns=start, finish_ns=finish,
-                        batch_size=len(batch),
-                        status=self._final_status(status, request, finish),
-                        retries=retries, degraded=degraded,
-                    )
-                )
-                if track_classes:
-                    entry = class_finishes.get(request.slo_class)
-                    if entry is None:
-                        entry = class_finishes[request.slo_class] = (
-                            PrunedFinishes()
-                        )
-                    entry.push(finish)
-                if track_finishes:
-                    finishes.push(finish)
-            free_at = finish
-            index = probe
-        return completed, shed
+        """Serve one FIFO queue in arrival order.
 
-    def _run_shared_queue(
-        self, trace: list[Request]
-    ) -> tuple[list[CompletedRequest], list[tuple[Request, str]]]:
-        rng = self._rng("shared")
+        Isolated mode runs one queue per tenant slice (``trace`` is that
+        tenant's requests, ``rng_label`` its name); shared mode runs one
+        queue over the whole chip (``"shared"``), head-of-line blocking
+        included. Class depths for admission are scoped to the queue.
+        """
+        ctl = self._admission_ctl
+        rng = self._rng(rng_label)
         healths = {
             name: self._health(tenant) for name, tenant in self.tenants.items()
         }
-        finishes: dict[str, PrunedFinishes] = {
-            name: PrunedFinishes() for name in self.tenants
-        }
-        # One shared queue → class depths aggregate across tenants.
-        class_finishes: dict[str, PrunedFinishes] = {}
-        track_finishes = (
-            self._admission_ctl is None
-            and self.ras.queue_depth_limit is not None
+        # Bounded depth tracking: maintained only for the admission path
+        # that actually reads it, pruned as arrivals move forward.
+        backlog = Backlog(
+            self.tenants,
+            flat=ctl is None and self.ras.queue_depth_limit is not None,
+            classes=ctl is not None,
         )
-        track_classes = self._admission_ctl is not None
         completed: list[CompletedRequest] = []
         shed: list[tuple[Request, str]] = []
         served = [False] * len(trace)
@@ -943,22 +891,22 @@ class InferenceServer:
             served[index] = True
             tenant = self.tenants[head.tenant]
             health = healths[head.tenant]
-            if self._admission_ctl is not None:
+            now = head.arrival_ns
+            if ctl is not None:
                 base = self._service_time(head.tenant, health.available)
-                decision = self._admission_decision(
-                    head, free_at, class_finishes,
-                    batch_service_time_ns(base, 1),
+                decision = ctl.admit(
+                    head.slo_class, backlog.class_depths(now),
+                    max(0.0, free_at - now), batch_service_time_ns(base, 1),
                 )
                 if not decision.admitted:
                     shed.append((head, decision.reason))
                     continue
-            elif self._shed_at_arrival(head, finishes[head.tenant]):
+            elif self.ras.queue_full(backlog.tenants[head.tenant], now):
                 shed.append((head, "queue-full"))
                 continue
-            start = max(head.arrival_ns, free_at)
-            # Same-tenant requests already waiting coalesce into the batch
-            # (other tenants' requests keep their place in the FIFO).
-            batch, _ = self._collect_batch(trace, index, start, tenant, served)
+            start = max(now, free_at)
+            batch = self._collect_batch(trace, index, start, tenant, served)
+            # Continuous batching: the launch waits for its last joiner.
             start = max(start, batch[-1].arrival_ns)
             base = self._service_time(head.tenant, health.available)
             degraded = health.degraded
@@ -970,59 +918,15 @@ class InferenceServer:
                     CompletedRequest(
                         request=request, start_ns=start, finish_ns=finish,
                         batch_size=len(batch),
-                        status=self._final_status(status, request, finish),
+                        status=self.ras.deadline_status(status, request, finish),
                         retries=retries, degraded=degraded,
                     )
                 )
-                if track_classes:
-                    entry = class_finishes.get(request.slo_class)
-                    if entry is None:
-                        entry = class_finishes[request.slo_class] = (
-                            PrunedFinishes()
-                        )
-                    entry.push(finish)
-                if track_finishes:
-                    finishes[head.tenant].push(finish)
+                backlog.push(request, finish)
             free_at = finish
         return completed, shed
 
     # -- reporting ----------------------------------------------------------
-
-    def _class_stats(
-        self,
-        mine: list[CompletedRequest],
-        my_shed: list[tuple[Request, str]],
-    ) -> dict[str, SloClassStats]:
-        """Per-SLO-class breakdown for one tenant (empty without classes)."""
-        if self._admission_ctl is None:
-            return {}
-        from repro.obs.metrics import DEFAULT_BUCKETS_MS
-
-        stats: dict[str, SloClassStats] = {}
-
-        def stat(slo_class: str) -> SloClassStats:
-            if slo_class not in stats:
-                stats[slo_class] = SloClassStats(slo_class=slo_class)
-            return stats[slo_class]
-
-        latencies: dict[str, list[float]] = {}
-        for done in mine:
-            entry = stat(done.request.slo_class)
-            entry.offered += 1
-            if done.ok:
-                entry.served += 1
-                latencies.setdefault(done.request.slo_class, []).append(
-                    done.latency_ms
-                )
-            else:
-                entry.failed += 1
-        for request, reason in my_shed:
-            entry = stat(request.slo_class)
-            entry.offered += 1
-            entry.record_shed(reason)
-        for slo_class, values in latencies.items():
-            stats[slo_class].set_percentiles(values, DEFAULT_BUCKETS_MS)
-        return dict(sorted(stats.items()))
 
     def _report(
         self,
@@ -1047,18 +951,19 @@ class InferenceServer:
             shed_reasons: dict[str, int] = {}
             for _, reason in my_shed:
                 shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
-            by_class = self._class_stats(mine, my_shed)
+            by_class: dict[str, SloClassStats] = {}
+            if self._admission_ctl is not None:
+                book = ClassBook()
+                for done in mine:
+                    book.settle(
+                        done.request.slo_class,
+                        done.latency_ms if done.ok else None,
+                    )
+                for request, reason in my_shed:
+                    book.shed(request.slo_class, reason)
+                by_class = book.finish()
             latencies = np.asarray([c.latency_ms for c in ok])
-            if latencies.size == 0:
-                reports[name] = TenantReport(
-                    tenant=name, completed=0, throughput_per_s=0.0,
-                    p50_ms=0.0, p95_ms=0.0, p99_ms=0.0, mean_batch=0.0,
-                    sla_ms=tenant.sla_ms, sla_violations=0,
-                    failed=failed, retried=retried, shed=len(my_shed),
-                    degraded=degraded, shed_reasons=shed_reasons,
-                    by_class=by_class,
-                )
-                continue
+            p50, p95, p99 = tail_percentiles(latencies)
             violations = 0
             if tenant.sla_ms is not None:
                 violations = int((latencies > tenant.sla_ms).sum())
@@ -1066,10 +971,12 @@ class InferenceServer:
                 tenant=name,
                 completed=len(ok),
                 throughput_per_s=len(ok) * 1e9 / horizon_ns,
-                p50_ms=float(np.percentile(latencies, 50)),
-                p95_ms=float(np.percentile(latencies, 95)),
-                p99_ms=float(np.percentile(latencies, 99)),
-                mean_batch=float(np.mean([c.batch_size for c in ok])),
+                p50_ms=p50,
+                p95_ms=p95,
+                p99_ms=p99,
+                mean_batch=(
+                    float(np.mean([c.batch_size for c in ok])) if ok else 0.0
+                ),
                 sla_ms=tenant.sla_ms,
                 sla_violations=violations,
                 failed=failed,

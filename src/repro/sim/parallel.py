@@ -39,7 +39,6 @@ __all__ = [
     "ShardStats",
     "default_workers",
     "export_shard_metrics",
-    "prewarm_measurements",
     "run_sharded",
     "run_sharded_with_stats",
 ]
@@ -217,57 +216,3 @@ def run_sharded(fn, items, workers: int | None = None):
     """Like :func:`run_sharded_with_stats` but returns results only."""
     results, _stats = run_sharded_with_stats(fn, items, workers)
     return results
-
-
-def _measure_spec(spec):
-    """Worker task: one (model, groups) detailed-simulator measurement.
-
-    The memo is bypassed on purpose: the worker's cache is a forked
-    throwaway copy, and on the serial fallback the caller does the
-    cache bookkeeping itself — double-counting a lookup here would make
-    sharded and serial cache statistics diverge.
-    """
-    from repro.serving.server import measure_service_time_ns
-
-    model, groups = spec
-    return measure_service_time_ns(model, groups, use_cache=False)
-
-
-def prewarm_measurements(
-    specs, workers: int | None = None
-) -> dict[tuple[str, int], float]:
-    """Fill the measurement memo for ``(model, groups)`` specs in parallel.
-
-    Servers and fleets measure tenants one after another; each
-    measurement is an independent simulation, so the cold ones can run
-    in worker processes. Results land in
-    :data:`repro.caching.MEASUREMENT_CACHE` in the *parent*, exactly as
-    serial measurement would have left them (the measurement is
-    deterministic — see its docstring) and with the same statistics:
-    one recorded miss per cold spec, regardless of where it ran.
-    Returns ``spec -> latency_ns`` for the specs this call measured.
-    """
-    from repro.caching import MEASUREMENT_CACHE, MeasurementCache
-
-    ordered: list[tuple[str, int]] = []
-    for model, groups in specs:
-        spec = (model, int(groups))
-        if spec not in ordered:
-            ordered.append(spec)
-    warmed: dict[tuple[str, int], float] = {}
-    todo: list[tuple[str, int]] = []
-    for spec in ordered:
-        key = MeasurementCache.key_for(*spec)
-        if key in MEASUREMENT_CACHE:
-            # Deliberately not a stats-counting get: the caller's own
-            # measure_service_time_ns call right after us records the hit.
-            continue
-        todo.append(spec)
-    if todo:
-        for spec, latency_ns in zip(todo, run_sharded(_measure_spec, todo, workers)):
-            MEASUREMENT_CACHE.put(MeasurementCache.key_for(*spec), latency_ns)
-            # The membership probe above was this spec's cold lookup;
-            # record it so sharded and serial stats stay identical.
-            MEASUREMENT_CACHE.stats.misses += 1
-            warmed[spec] = latency_ns
-    return warmed

@@ -141,7 +141,7 @@ class TestSharedQueueBatching:
     def test_shared_max_batch_respected(self):
         trace = generate_trace([TrafficPattern("a", 3000.0)], duration_s=0.5)
         server = _server(isolated=False, max_batch_a=4)
-        completed, _ = server._run_shared_queue(trace)
+        completed, _ = server._run_queue(trace, "shared")
         assert max(record.batch_size for record in completed) <= 4
         assert len(completed) == len(trace)
 
@@ -236,7 +236,7 @@ def test_property_queueing_invariants(rate, seed, max_batch):
     trace = generate_trace([TrafficPattern("a", rate)], duration_s=0.5, seed=seed)
     if not trace:
         return
-    completed, shed = server._run_single_queue(trace, "a")
+    completed, shed = server._run_queue(trace, "a")
     assert not shed  # no admission limit configured
     assert len(completed) == len(trace)
     last_finish = 0.0

@@ -18,7 +18,6 @@ from repro.sim import parallel
 from repro.sim.parallel import (
     ShardError,
     default_workers,
-    prewarm_measurements,
     run_sharded,
     run_sharded_with_stats,
 )
@@ -118,48 +117,6 @@ def test_serial_stats_single_shard():
 
 
 # ---------------------------------------------------------------------------
-# measurement pre-warm: sharded == serial, including cache statistics
-# ---------------------------------------------------------------------------
-
-
-def test_prewarm_matches_serial_measurement_and_stats():
-    from repro.caching import MEASUREMENT_CACHE, reset_global_caches
-    from repro.serving.server import measure_service_time_ns
-
-    specs = [("resnet50", 4), ("resnet50", 2)]
-
-    reset_global_caches()
-    serial = {spec: measure_service_time_ns(*spec) for spec in specs}
-    serial_stats = (
-        MEASUREMENT_CACHE.stats.hits, MEASUREMENT_CACHE.stats.misses
-    )
-
-    reset_global_caches()
-    warmed = prewarm_measurements(specs, workers=2)
-    assert warmed == serial  # bitwise: measurement is deterministic
-    # after the pre-warm, the caller's measurements are pure cache hits
-    replay = {spec: measure_service_time_ns(*spec) for spec in specs}
-    assert replay == serial
-    sharded_stats = (
-        MEASUREMENT_CACHE.stats.hits - len(specs),  # discount replay hits
-        MEASUREMENT_CACHE.stats.misses,
-    )
-    assert sharded_stats == serial_stats
-    reset_global_caches()
-
-
-def test_prewarm_skips_already_cached_specs():
-    from repro.caching import reset_global_caches
-
-    reset_global_caches()
-    first = prewarm_measurements([("resnet50", 4)], workers=1)
-    assert list(first) == [("resnet50", 4)]
-    again = prewarm_measurements([("resnet50", 4)], workers=1)
-    assert again == {}
-    reset_global_caches()
-
-
-# ---------------------------------------------------------------------------
 # chaos suite: N-shard run byte-identical to serial
 # ---------------------------------------------------------------------------
 
@@ -170,4 +127,15 @@ def test_chaos_suite_sharded_equals_serial():
     names = ["baseline", "transient-storm"]
     serial = run_suite(names=names, seed=7, workers=1)
     sharded = run_suite(names=names, seed=7, workers=2)
+    assert serial.to_json() == sharded.to_json()
+
+
+def test_measured_chaos_suite_sharded_equals_serial():
+    # measured=True measures each tenant model once in the parent, then
+    # forks; every shard must see the same service times as a serial run.
+    from repro.chaos import run_suite
+
+    names = ["baseline", "transient-storm"]
+    serial = run_suite(names=names, seed=7, measured=True, workers=1)
+    sharded = run_suite(names=names, seed=7, measured=True, workers=2)
     assert serial.to_json() == sharded.to_json()
