@@ -324,7 +324,7 @@ def _cmd_profile(args) -> int:
     print(f"{'timeout pool reuse rate':<28} {pool_rate:>10.1%}")
     shard_wall = registry.get("sim_shard_wall_seconds")
     if shard_wall is not None:
-        for labels, value in sorted(shard_wall.samples()):
+        for labels, value in shard_wall.samples():
             print(f"{'shard ' + labels['shard'] + ' wall s':<28} "
                   f"{value:>10.4f}")
     print()

@@ -186,6 +186,17 @@ class TestCli:
         assert "category" in out and "conv" in out
         assert "engine" in out and "core" in out and "dma" in out
 
+    def test_profile_after_a_sharded_run(self, capsys):
+        # The engine-core table lists the last sharded run's per-shard
+        # wall times; with >= 2 shards their label dicts must not be
+        # compared while ordering the rows.
+        from repro.sim.parallel import run_sharded
+
+        assert run_sharded(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+        assert main(["profile", "resnet50"]) == 0
+        out = capsys.readouterr().out
+        assert "shard 0 wall s" in out and "shard 1 wall s" in out
+
     def test_profile_unknown_model(self, capsys):
         assert main(["profile", "alexnet"]) == 2
         assert "unknown model" in capsys.readouterr().err
