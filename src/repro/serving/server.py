@@ -656,8 +656,7 @@ class InferenceServer:
         produce identical reports (per-run RNGs are re-seeded from the
         plan seed on every call).
         """
-        if self._admission_ctl is not None:
-            self._admission_ctl.reset()
+        ctl = self._admission_ctl
         queues = (
             [
                 ([r for r in trace if r.tenant == name], name)
@@ -668,13 +667,20 @@ class InferenceServer:
         )
         completed: list[CompletedRequest] = []
         shed: list[tuple[Request, str]] = []
+        brownout_level, peak_backpressure = 0, 0.0
         for queue_trace, rng_label in queues:
             done, dropped = self._run_queue(queue_trace, rng_label)
             completed.extend(done)
             shed.extend(dropped)
+            if ctl is not None:
+                # Each queue runs its own brownout; report the worst one.
+                brownout_level = max(brownout_level, ctl.brownout_level)
+                peak_backpressure = max(peak_backpressure, ctl.peak_backpressure)
         reports = self._report(completed, trace, shed)
         if self.obs is not None:
-            self._emit_observability(completed, shed, reports)
+            self._emit_observability(
+                completed, shed, reports, brownout_level, peak_backpressure
+            )
         return reports
 
     # -- observability bridge -------------------------------------------------
@@ -684,6 +690,8 @@ class InferenceServer:
         completed: list[CompletedRequest],
         shed: list[tuple[Request, str]],
         reports: dict[str, TenantReport],
+        brownout_level: int,
+        peak_backpressure: float,
     ) -> None:
         """Report the run into the attached Observability hub.
 
@@ -793,10 +801,10 @@ class InferenceServer:
         if self._admission_ctl is not None:
             metrics.gauge(
                 "serving_brownout_level", "degradation level at run end"
-            ).set(self._admission_ctl.brownout_level)
+            ).set(brownout_level)
             metrics.gauge(
                 "serving_backpressure_peak", "worst queue fullness seen"
-            ).set(self._admission_ctl.peak_backpressure)
+            ).set(peak_backpressure)
 
     def _rng(self, label: str) -> random.Random:
         """Per-tenant (or ``"shared"``) draw stream off the plan seed.
@@ -870,6 +878,8 @@ class InferenceServer:
         included. Class depths for admission are scoped to the queue.
         """
         ctl = self._admission_ctl
+        if ctl is not None:
+            ctl.reset()  # a queue never inherits another queue's brownout
         rng = self._rng(rng_label)
         healths = {
             name: self._health(tenant) for name, tenant in self.tenants.items()

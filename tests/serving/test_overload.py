@@ -227,6 +227,40 @@ class TestServerAdmission:
         assert shed_total.total() == reports["app"].shed
 
 
+    def test_isolated_slices_do_not_share_brownout(self):
+        # Tenant a floods its slice into brownout at the end of the trace;
+        # tenant b's light batch-class slice must serve as it would alone.
+        from repro.serving import Request
+
+        flood = [
+            Request(i, "a", 50e6 + i * 0.05e6, slo_class="standard")
+            for i in range(200)
+        ]
+        light = [
+            Request(200 + i, "b", i * 10e6, slo_class="batch")
+            for i in range(20)
+        ]
+        trace = sorted(flood + light, key=lambda r: (r.arrival_ns, r.request_id))
+        tenants = [
+            TenantConfig("a", "resnet50", groups=2),
+            TenantConfig("b", "resnet50", groups=2),
+        ]
+        times = {"a": SERVICE_NS, "b": SERVICE_NS}
+        obs = Observability()
+        both = InferenceServer(
+            tenants, service_times_ns=times, admission=AdmissionPolicy(),
+            obs=obs,
+        ).run(trace)["b"]
+        alone = InferenceServer(
+            tenants, service_times_ns=times, admission=AdmissionPolicy(),
+        ).run(light)["b"]
+        assert (alone.completed, alone.shed) == (20, 0)
+        assert (both.completed, both.shed, both.shed_reasons) == (20, 0, {})
+        # The brownout gauges report the worst slice, not the last one.
+        assert obs.metrics.get("serving_backpressure_peak").value() >= 0.85
+        assert obs.metrics.get("serving_brownout_level").value() == 2
+
+
 class TestReportGuards:
     """TenantReport / SloClassStats stay finite on empty + all-shed runs."""
 
