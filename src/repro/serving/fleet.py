@@ -1047,10 +1047,7 @@ class FleetManager:
                 retries += 1
                 if retries > self.ras.max_retries:
                     return now, "fatal", retries, False
-                now += (
-                    self.ras.retry_backoff_ms * 1e6
-                    * (self.ras.backoff_factor ** (retries - 1))
-                )
+                now += self.ras.backoff_ns(retries)
                 continue
             corrupted = False
             if tracker is not None:
@@ -1065,10 +1062,7 @@ class FleetManager:
                     retries += 1
                     if retries > self.ras.max_retries:
                         return now, "fatal", retries, False
-                    now += (
-                        self.ras.retry_backoff_ms * 1e6
-                        * (self.ras.backoff_factor ** (retries - 1))
-                    )
+                    now += self.ras.backoff_ns(retries)
                     continue
             return now, "ok", retries, corrupted
 

@@ -157,6 +157,10 @@ class RasConfig:
                 f"deadline_ms must be > 0 or None, got {self.deadline_ms}"
             )
 
+    def backoff_ns(self, retries: int) -> float:
+        """Backoff before replay number ``retries`` (1-based)."""
+        return self.retry_backoff_ms * 1e6 * (self.backoff_factor ** (retries - 1))
+
     def deadline_status(self, status: str, request: Request, finish: float) -> str:
         """Apply the per-request deadline: late completions count failed."""
         if (
@@ -637,10 +641,7 @@ class InferenceServer:
             retries += 1
             if retries > self.ras.max_retries:
                 return now, "failed", retries
-            now += (
-                self.ras.retry_backoff_ms * 1e6
-                * (self.ras.backoff_factor ** (retries - 1))
-            )
+            now += self.ras.backoff_ns(retries)
 
     # -- simulation ----------------------------------------------------------
 
@@ -816,13 +817,6 @@ class InferenceServer:
         seed = self.fault_plan.seed if self.fault_plan is not None else 0
         return derive_rng(seed, label)
 
-    def _health(self, tenant: TenantConfig) -> TenantHealth:
-        return TenantHealth(
-            groups=tenant.groups,
-            threshold=self.ras.breaker_threshold,
-            min_groups=self.ras.min_groups,
-        )
-
     def _collect_batch(
         self,
         trace: list[Request],
@@ -882,7 +876,10 @@ class InferenceServer:
             ctl.reset()  # a queue never inherits another queue's brownout
         rng = self._rng(rng_label)
         healths = {
-            name: self._health(tenant) for name, tenant in self.tenants.items()
+            name: TenantHealth(
+                tenant.groups, self.ras.breaker_threshold, self.ras.min_groups
+            )
+            for name, tenant in self.tenants.items()
         }
         # Bounded depth tracking: maintained only for the admission path
         # that actually reads it, pruned as arrivals move forward.
