@@ -125,17 +125,9 @@ def test_chaos_suite_sharded_equals_serial():
     from repro.chaos import run_suite
 
     names = ["baseline", "transient-storm"]
-    serial = run_suite(names=names, seed=7, workers=1)
-    sharded = run_suite(names=names, seed=7, workers=2)
-    assert serial.to_json() == sharded.to_json()
-
-
-def test_measured_chaos_suite_sharded_equals_serial():
     # measured=True measures each tenant model once in the parent, then
-    # forks; every shard must see the same service times as a serial run.
-    from repro.chaos import run_suite
-
-    names = ["baseline", "transient-storm"]
-    serial = run_suite(names=names, seed=7, measured=True, workers=1)
-    sharded = run_suite(names=names, seed=7, measured=True, workers=2)
-    assert serial.to_json() == sharded.to_json()
+    # forks: every shard must see the service times a serial run sees.
+    for measured in (False, True):
+        serial = run_suite(names=names, seed=7, measured=measured, workers=1)
+        sharded = run_suite(names=names, seed=7, measured=measured, workers=2)
+        assert serial.to_json() == sharded.to_json()

@@ -14,20 +14,14 @@ enough to shed, brown out, retry and trip breakers, closed by a flood
 on the first tenant. Service times are
 given explicitly, so no detailed-simulator run is involved.
 
-Usage::
-
-    PYTHONPATH=src python tools/server_golden.py          # rewrite
-    PYTHONPATH=src python tools/server_golden.py --check  # exit 1 on drift
-
-``tests/serving/test_server_golden.py`` holds the server to the file.
+Rewrite the file with ``PYTHONPATH=src python tools/server_golden.py``;
+``tests/serving/test_server_golden.py`` holds the server to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
-import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -128,23 +122,6 @@ def render() -> str:
     return json.dumps(cells(), indent=1, sort_keys=True) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed golden instead of writing it",
-    )
-    args = parser.parse_args(argv)
-    text = render()
-    if args.check:
-        if GOLDEN.read_text() != text:
-            print(f"{GOLDEN} differs from the current server", file=sys.stderr)
-            return 1
-        return 0
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(text)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN.write_text(render())
