@@ -564,14 +564,7 @@ class FleetManager:
         # admission layer's queue depths and backpressure read these (the
         # fleet is one shared pool). Maintained only when something reads
         # them, and pruned as depth queries move forward in time.
-        backlog = Backlog(
-            self.tenants,
-            flat=(
-                self._admission_ctl is None
-                and self.ras.queue_depth_limit is not None
-            ),
-            classes=self._admission_ctl is not None,
-        )
+        backlog = Backlog(self.tenants, self.ras, self._admission_ctl)
         counters = _RunCounters()
         counters.min_healthy = router.active_count()
         horizon = 0.0

@@ -487,18 +487,19 @@ class PrunedFinishes:
 class Backlog:
     """Finish times of admitted requests, per tenant and per SLO class.
 
-    Tenant depths feed the flat ``queue_depth_limit`` check and class
-    depths the admission policy; each side is recorded only when its
-    reader exists (``flat`` / ``classes``).
+    Tenant depths feed the flat ``ras.queue_depth_limit`` check and
+    class depths the admission controller; each side is recorded only
+    when its reader exists. An attached controller (``admission``)
+    replaces the flat check, so at most one side is ever recorded.
     """
 
     __slots__ = ("tenants", "classes", "_flat", "_by_class")
 
-    def __init__(self, tenants, flat: bool, classes: bool) -> None:
+    def __init__(self, tenants, ras, admission) -> None:
         self.tenants = {name: PrunedFinishes() for name in tenants}
         self.classes: dict[str, PrunedFinishes] = {}
-        self._flat = flat
-        self._by_class = classes
+        self._by_class = admission is not None
+        self._flat = admission is None and ras.queue_depth_limit is not None
 
     def push(self, request, finish: float) -> None:
         if self._flat:

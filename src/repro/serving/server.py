@@ -883,11 +883,7 @@ class InferenceServer:
         }
         # Bounded depth tracking: maintained only for the admission path
         # that actually reads it, pruned as arrivals move forward.
-        backlog = Backlog(
-            self.tenants,
-            flat=ctl is None and self.ras.queue_depth_limit is not None,
-            classes=ctl is not None,
-        )
+        backlog = Backlog(self.tenants, self.ras, ctl)
         completed: list[CompletedRequest] = []
         shed: list[tuple[Request, str]] = []
         served = [False] * len(trace)

@@ -269,7 +269,8 @@ class TestDetachedGolden:
     def test_original_scenarios_match_the_pre_sdc_golden(self, capsys):
         # The pinned pre-SDC report: running the original quick scenarios
         # with the detection layer in-tree but detached must reproduce it
-        # byte-for-byte (the sdc-smoke CI job cmp's the same pair).
+        # byte-for-byte (the `smoke (sdc)` CI matrix entry cmp's the same
+        # pair).
         golden = (
             pathlib.Path(__file__).parent / "data" / "chaos_quick_golden.json"
         ).read_text()
