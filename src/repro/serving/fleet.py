@@ -8,10 +8,10 @@ paper positions the i20 as a datacenter inference part, and fleet behavior
 This module adds that layer:
 
 - :class:`FleetManager` owns N+M simulated :class:`~repro.runtime.Device`
-  replicas (N active, M hot spares), opened through ``Device.open`` with
-  stable per-replica ids and compiled through the shared
-  :data:`~repro.caching.COMPILE_CACHE` — a fleet compiles each tenant
-  model **once**;
+  replicas (N active, M hot spares) with stable per-replica ids; each
+  card is opened through ``Device.open`` on the replica's first launch,
+  and the fleet compiles each tenant model **once**, through the shared
+  :data:`~repro.caching.COMPILE_CACHE`;
 - tenant traffic routes to the least-loaded healthy replica; a fatal
   outcome triggers a **hedged re-dispatch** on another healthy replica, so
   a dying board costs latency, not requests;
@@ -98,7 +98,8 @@ class FleetConfig:
     max_hedges: int = 2
     """Re-dispatches of one request after fatal outcomes before it fails."""
     validate_on_open: bool = True
-    """Run one real launch per replica at bring-up to prove the board."""
+    """Run one real launch per replica at bring-up to prove the board
+    (which opens every replica's card at bring-up, in index order)."""
     screen_vectors: int = 1
     """Real launches per repair probe. The historical single-launch probe
     (``1``, the default — byte-identical) can pass a board that corrupts
@@ -328,11 +329,12 @@ class _Replica:
 
     index: int
     name: str
-    device: Device
+    device_id: str
     injector: FaultInjector
     status: ReplicaStatus
     initial_status: ReplicaStatus
-    compiled: dict[str, object] = field(default_factory=dict)
+    device: Device | None = None
+    """The simulated card, opened on first launch (:meth:`FleetManager._card`)."""
     free_at: float = 0.0
     consecutive_fatals: int = 0
     served: int = 0
@@ -443,54 +445,71 @@ class FleetManager:
     # -- bring-up ------------------------------------------------------------
 
     def _open_fleet(self, tenants: list[TenantConfig]) -> list[_Replica]:
-        """Open N active + M standby devices, compile every tenant once."""
+        """Set up N active + M standby replicas, compile every tenant once.
+
+        Only the first replica's card opens here, because the tenant
+        models compile through it (so an unknown device or a model that
+        fails to compile still fails construction). Every other card
+        opens on its replica's first launch — a bring-up validation or a
+        repair probe — since a card's object graph dominates bring-up
+        cost and most replicas of a large fleet never launch at all.
+        """
         cfg = self.config
         replicas: list[_Replica] = []
-        # One lowering per tenant model for the whole fleet: replicas are
-        # the same chip, so COMPILE_CACHE would hand every later replica
-        # the identical CompiledModel anyway — compiling through the first
-        # device and sharing the object skips the per-replica cache-key
-        # hashing that dominated bring-up at thousands of devices.
-        built = {tenant.name: build(tenant.model) for tenant in tenants}
-        compiled_shared: dict[str, object] = {}
         for index in range(cfg.replicas + cfg.hot_spares):
             name = f"r{index}"
             device_id = f"{cfg.device}-{name}"
-            device = Device.open(cfg.device, obs=self.obs, device_id=device_id)
             injector = FaultInjector(
                 self.schedule.base,
                 seed=derive_seed(cfg.seed, "injector", name),
                 device=device_id,
             )
-            device.accelerator.attach_faults(injector)
             role = (
                 ReplicaStatus.ACTIVE
                 if index < cfg.replicas
                 else ReplicaStatus.STANDBY
             )
-            replica = _Replica(
-                index=index, name=name, device=device, injector=injector,
-                status=role, initial_status=role,
+            replicas.append(
+                _Replica(
+                    index=index, name=name, device_id=device_id,
+                    injector=injector, status=role, initial_status=role,
+                )
             )
-            for tenant in tenants:
-                compiled = compiled_shared.get(tenant.name)
-                if compiled is None:
-                    compiled = device.compile(built[tenant.name], batch=1)
-                    compiled_shared[tenant.name] = compiled
-                replica.compiled[tenant.name] = compiled
+        # One lowering per tenant model for the whole fleet: replicas are
+        # the same chip, so COMPILE_CACHE would hand every later replica
+        # the identical CompiledModel anyway — compiling through the first
+        # card and sharing the object skips the per-replica cache-key
+        # hashing that dominated bring-up at thousands of devices.
+        card = self._card(replicas[0])
+        self._compiled = {
+            tenant.name: card.compile(build(tenant.model), batch=1)
+            for tenant in tenants
+        }
+        for replica in replicas:
             self._bringup_events.append(
-                LifecycleEvent(0.0, name, "opened", f"{device_id} as {role.value}")
+                LifecycleEvent(
+                    0.0, replica.name, "opened",
+                    f"{replica.device_id} as {replica.initial_status.value}",
+                )
             )
             if cfg.validate_on_open:
                 self._validate(replica, tenants[0])
-            replicas.append(replica)
         return replicas
+
+    def _card(self, replica: _Replica) -> Device:
+        """The replica's simulated card, opened (faults attached) on first use."""
+        if replica.device is None:
+            replica.device = Device.open(
+                self.config.device, obs=self.obs, device_id=replica.device_id
+            )
+            replica.device.accelerator.attach_faults(replica.injector)
+        return replica.device
 
     def _validate(self, replica: _Replica, tenant: TenantConfig) -> None:
         """One real launch proves the board before it joins the pool."""
         try:
-            replica.device.launch(
-                replica.compiled[tenant.name], num_groups=tenant.groups
+            self._card(replica).launch(
+                self._compiled[tenant.name], num_groups=tenant.groups
             )
             detail = f"launch ok ({tenant.model}x{tenant.groups})"
         except HardwareFault as fault:
@@ -1286,6 +1305,7 @@ class FleetManager:
         attempt = replica.repair_attempts
         plan = self.schedule.plan_at(due, replica.index)
         probe_tenant = next(iter(self.tenants.values()))
+        card = self._card(replica)
         ok, detail = True, ""
         for vector in range(cfg.screen_vectors):
             # Vector 0 keeps the historical seed label; extra vectors get
@@ -1297,18 +1317,18 @@ class FleetManager:
                     cfg.seed, "probe", replica.name, attempt, vector
                 )
             probe_injector = FaultInjector(
-                plan, seed=seed, device=replica.device.device_id,
+                plan, seed=seed, device=replica.device_id,
             )
-            replica.device.accelerator.attach_faults(probe_injector)
+            card.accelerator.attach_faults(probe_injector)
             try:
-                replica.device.launch(
-                    replica.compiled[probe_tenant.name],
+                card.launch(
+                    self._compiled[probe_tenant.name],
                     num_groups=probe_tenant.groups,
                 )
             except HardwareFault as fault:
                 ok, detail = False, f"probe faulted: {fault}"
             finally:
-                replica.device.accelerator.attach_faults(replica.injector)
+                card.accelerator.attach_faults(replica.injector)
             replica.probe_faults += len(probe_injector.records)
             if not ok:
                 break
@@ -1409,7 +1429,7 @@ class FleetManager:
         devices = [
             DeviceReport(
                 name=replica.name,
-                device_id=replica.device.device_id,
+                device_id=replica.device_id,
                 final_status=replica.status.value,
                 served=replica.served,
                 fatal_outcomes=replica.fatal_outcomes,
