@@ -17,7 +17,8 @@ schema-versioned ``BENCH_<n>.json`` report (see
 - **serving.fleet_scale** — the fleet request loop at 16/256(/2048)
   devices over one fixed Poisson + flash-crowd trace: per-request cost
   must stay near-flat as the fleet grows (O(log N) routing), and the
-  heap router must stay byte-identical to the pinned reference router.
+  heap router must stay byte-identical to the pinned reference router;
+  bring-up wall time is reported beside it at each size.
 - **serving.powercap** — one fixed trace under a loose vs a tight fleet
   power budget: the tight run must be byte-reproducible, serve no less,
   and land strictly lower energy-per-inference at bounded p99 inflation
@@ -241,6 +242,8 @@ def bench_fleet_scale(quick: bool) -> dict:
     the 16/256 rows for the CI smoke job. The 16-device row also replays
     through the pinned reference router and byte-compares the reports
     (``reference_identical`` is a gated invariant on every tier).
+    ``init_wall_seconds_<N>`` times each fleet's construction (reported,
+    not gated), with the tenant models already in the compile cache.
     """
     import json as _json
 
@@ -283,8 +286,11 @@ def bench_fleet_scale(quick: bool) -> dict:
     metrics: dict[str, float] = {"trace_requests": float(len(trace))}
     wall_total = 0.0
     cost_by_size: dict[int, float] = {}
+    fleet(1, "heap")  # warm the compile cache: no size pays the first lowering
     for replicas in sizes:
+        start = time.perf_counter()
         manager = fleet(replicas, "heap")
+        metrics[f"init_wall_seconds_{replicas}"] = time.perf_counter() - start
         start = time.perf_counter()
         report = manager.run(trace)
         run_s = time.perf_counter() - start
