@@ -67,9 +67,11 @@ def compile_graph(
 ) -> CompileResult:
     """Validate, optimize (optionally guarded) and lower one graph.
 
-    The caller's graph is never mutated: the pipeline works on deep
-    copies (``graph.bind({})``), which also means a guard fallback can
-    restart from the pristine pre-fusion graph.
+    The caller's graph is never mutated: the pipeline works on a deep
+    copy (``graph.bind({})``). When the fusion guard runs, the fused
+    optimize gets a second copy, so a guard fallback can restart from the
+    pristine pre-fusion graph; otherwise nothing can fall back and the
+    one copy is optimized directly.
     """
     pristine = graph.bind({})
     try:
@@ -79,8 +81,7 @@ def compile_graph(
     except Exception as error:  # pragma: no cover - validator is total
         raise _wrap("validate", graph, error) from error
 
-    def _optimize(fuse: bool) -> Graph:
-        working = pristine.bind({})
+    def _optimize(fuse: bool, working: Graph) -> Graph:
         try:
             optimized, _report = optimize(working, fusion=fuse)
         except CompileError:
@@ -89,11 +90,12 @@ def compile_graph(
             raise _wrap("optimize", graph, error) from error
         return optimized
 
-    optimized = _optimize(fusion)
+    guarded = verify_fusion and fusion
+    optimized = _optimize(fusion, pristine.bind({}) if guarded else pristine)
     guard: FusionGuardReport | None = None
     fell_back = False
     effective_fusion = fusion
-    if verify_fusion and fusion:
+    if guarded:
         guard = verify_fused_graph(optimized, seed=seed, obs=obs)
         if not guard.ok:
             bad = ", ".join(check.node for check in guard.mismatches)
@@ -109,7 +111,7 @@ def compile_graph(
                     "fusion_guard_fallbacks_total",
                     "compiles that reverted to unfused graphs",
                 ).inc(len(guard.mismatches))
-            optimized = _optimize(False)
+            optimized = _optimize(False, pristine)
             fell_back = True
             effective_fusion = False
 

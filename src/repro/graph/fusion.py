@@ -69,7 +69,11 @@ def _single_consumer_chain(
         if len(readers) != 1:
             break
         candidate = readers[0]
-        if spec(candidate.op_type).category not in FUSABLE_EPILOGUES:
+        # A fused (attention) node has no op spec and is never an epilogue.
+        if (
+            candidate.op_type == "fused"
+            or spec(candidate.op_type).category not in FUSABLE_EPILOGUES
+        ):
             break
         # Every other input of the candidate must already be available
         # (weights or earlier tensors) — fusing never reorders the graph
@@ -111,22 +115,84 @@ def _fuse_nodes(group: list[Node], index: int) -> Node:
     )
 
 
+def _splice(graph: Graph, rewrites: list[tuple[list[Node], Node]]) -> None:
+    """Replace each group's members with its fused node, in one pass.
+
+    The result is the list that applying the rewrites one at a time gives:
+    ``position = graph.nodes.index(group[0])``, remove every member, then
+    ``graph.nodes.insert(position, fused)``. The fused node takes its
+    anchor's slot, moved right past one surviving node for every member
+    that sat before the anchor (only possible when ``graph.nodes`` is not
+    in topological order). Members are matched by identity on a linked
+    list keyed by ``id()``, with 0 as the sentinel (no object has id 0).
+    """
+    if not rewrites:
+        return
+    position = {id(node): index for index, node in enumerate(graph.nodes)}
+    objects = {id(node): node for node in graph.nodes}
+    keys = [0, *position]
+    after = dict(zip(keys, keys[1:] + [0]))
+    before = dict(zip(keys, [keys[-1], *keys[:-1]]))
+    for group, fused in rewrites:
+        members = {id(member) for member in group}
+        anchor = id(group[0])
+        shift = sum(position[key] < position[anchor] for key in members)
+        slot = anchor if shift else before[anchor]
+        while shift:
+            slot = after[slot]
+            if slot == 0:  # ran off the end: append
+                slot = before[0]
+                break
+            if slot not in members:
+                shift -= 1
+        key = id(fused)
+        objects[key] = fused
+        after[key], before[key] = after[slot], slot
+        before[after[slot]] = key
+        after[slot] = key
+        for member in members:
+            after[before[member]] = after[member]
+            before[after[member]] = before[member]
+    nodes = []
+    key = after[0]
+    while key:
+        nodes.append(objects[key])
+        key = after[key]
+    graph.nodes = nodes
+
+
 def fuse_attention(graph: Graph) -> int:
-    """Fuse matmul -> mul(scale) -> softmax -> matmul into one node."""
+    """Fuse matmul -> mul(scale) -> softmax -> matmul into one node.
+
+    Groups are found against the consumer/producer tables of the input
+    graph; a node already claimed by an earlier group disqualifies a
+    later one, which is what rebuilding the tables after every group
+    would decide (a claimed producer becomes a fused node or vanishes,
+    and a claimed reader turns into a fused reader).
+    """
     consumers = graph.consumers()
     producers = graph.producers()
-    fused = 0
+    claimed: set[int] = set()
+    rewrites: list[tuple[list[Node], Node]] = []
+    size = len(graph.nodes)
     for node in list(graph.nodes):
-        if node.op_type != "softmax" or node not in graph.nodes:
+        if node.op_type != "softmax":
             continue
+        # A softmax or scale is only ever claimed by the group of the
+        # softmax itself; only the matmuls at either end can already
+        # belong to an earlier group.
         scale = producers.get(node.inputs[0])
         if scale is None or scale.op_type not in ("mul", "div"):
             continue
         scores = producers.get(scale.inputs[0])
-        if scores is None or scores.op_type != "matmul":
+        if scores is None or id(scores) in claimed or scores.op_type != "matmul":
             continue
         readers = consumers.get(node.outputs[0], [])
-        if len(readers) != 1 or readers[0].op_type != "matmul":
+        if (
+            len(readers) != 1
+            or id(readers[0]) in claimed
+            or readers[0].op_type != "matmul"
+        ):
             continue
         context = readers[0]
         # All four must be single-consumer straight line.
@@ -136,16 +202,13 @@ def fuse_attention(graph: Graph) -> int:
         ):
             continue
         group = [scores, scale, node, context]
-        fused_node = _fuse_nodes(group, index=len(graph.nodes) + fused)
+        # Each earlier group shrank the list by three nodes.
+        fused_node = _fuse_nodes(group, index=size - 2 * len(rewrites))
         fused_node.attrs["pattern"] = "attention"
-        position = graph.nodes.index(scores)
-        for member in group:
-            graph.nodes.remove(member)
-        graph.nodes.insert(position, fused_node)
-        consumers = graph.consumers()
-        producers = graph.producers()
-        fused += 1
-    return fused
+        rewrites.append((group, fused_node))
+        claimed.update(id(member) for member in group)
+    _splice(graph, rewrites)
+    return len(rewrites)
 
 
 def fuse_operators(graph: Graph, enable: bool = True) -> FusionReport:
@@ -171,12 +234,10 @@ def fuse_operators(graph: Graph, enable: bool = True) -> FusionReport:
                 groups.append(chain)
                 claimed.update(member.name for member in chain)
 
-    for index, group in enumerate(groups):
-        fused_node = _fuse_nodes(group, index)
-        position = graph.nodes.index(group[0])
-        for member in group:
-            graph.nodes.remove(member)
-        graph.nodes.insert(position, fused_node)
+    _splice(
+        graph,
+        [(group, _fuse_nodes(group, index)) for index, group in enumerate(groups)],
+    )
 
     nodes_fused = sum(len(group) for group in groups) + attention_groups * 4
     return FusionReport(

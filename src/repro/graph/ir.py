@@ -83,22 +83,46 @@ def _canonical(value) -> str:
     Dicts serialize in sorted key order and sets as sorted lists, so the
     result does not depend on insertion order or ``PYTHONHASHSEED``.
     """
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return f"{kind.__name__}:{value!r}"
     if isinstance(value, dict):
-        items = ",".join(
-            f"{_canonical(key)}:{_canonical(value[key])}" for key in sorted(value)
-        )
-        return "{" + items + "}"
+        return _canonical_dict(value, _canonical)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(item) for item in value) + "]"
+        return "[" + ",".join([_canonical(item) for item in value]) + "]"
     if isinstance(value, (set, frozenset)):
         return "{" + ",".join(sorted(_canonical(item) for item in value)) + "}"
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, TensorType):
-        return f"TensorType({_canonical(value.shape)},{value.dtype.name})"
+        return _canonical_type(value)
     if isinstance(value, float):
         return repr(value)
     return f"{type(value).__name__}:{value!r}"
+
+
+def _canonical_dict(value: dict, encode) -> str:
+    """:func:`_canonical` of a dict whose values ``encode`` serializes."""
+    return "{" + ",".join(
+        [f"{_canonical(key)}:{encode(value[key])}" for key in sorted(value)]
+    ) + "}"
+
+
+def _canonical_names(names: list) -> str:
+    """:func:`_canonical` of a list of tensor names."""
+    return "[" + ",".join(
+        [f"str:{name!r}" if type(name) is str else _canonical(name)
+         for name in names]
+    ) + "]"
+
+
+def _canonical_type(value: "TensorType") -> str:
+    """:func:`_canonical` of a tensor type."""
+    dims = ",".join(
+        [f"int:{dim!r}" if type(dim) is int else _canonical(dim)
+         for dim in value.shape]
+    )
+    return f"TensorType([{dims}],{value.dtype.name})"
 
 
 @dataclass(frozen=True)
@@ -136,7 +160,13 @@ class TensorType:
         return self.num_elements() * self.dtype.bytes
 
     def bind(self, bindings: dict[str, int]) -> "TensorType":
-        """Substitute symbolic dims; unknown symbols stay symbolic."""
+        """Substitute symbolic dims; unknown symbols stay symbolic.
+
+        A static type has nothing to substitute and is returned as is
+        (the dataclass is frozen, so sharing it is safe).
+        """
+        if self.is_static:
+            return self
         shape = tuple(
             bindings.get(dim, dim) if isinstance(dim, str) else dim
             for dim in self.shape
@@ -231,21 +261,50 @@ class Graph:
         return digraph
 
     def topological_nodes(self) -> list[Node]:
-        """Nodes in execution order; raises on cycles."""
-        digraph = self.to_networkx()
-        try:
-            order = list(nx.topological_sort(digraph))
-        except nx.NetworkXUnfeasible:
+        """Nodes in execution order; raises on cycles.
+
+        The order is exactly ``nx.topological_sort(self.to_networkx())``:
+        Kahn's algorithm one generation at a time, seeding with the
+        zero-in-degree nodes in first-seen order, visiting each node's
+        successors in the order their first edge appears, and counting a
+        consumer that reads one producer twice as one edge. Walking the
+        growing ``order`` list front to back is that generation sweep.
+        Nodes are keyed by name, as in the networkx graph; networkx only
+        names the cycle on the error path.
+        """
+        producers = self.producers()
+        by_name: dict[str, Node] = {}
+        successors: dict[str, dict[str, None]] = {}
+        for node in self.nodes:
+            by_name[node.name] = node
+            successors.setdefault(node.name, {})
+        indegree = dict.fromkeys(successors, 0)
+        for node in self.nodes:
+            name = node.name
+            for tensor in node.inputs:
+                producer = producers.get(tensor)
+                if producer is not None:
+                    children = successors[producer.name]
+                    if name not in children:
+                        children[name] = None
+                        indegree[name] += 1
+        order = [name for name, degree in indegree.items() if degree == 0]
+        for name in order:  # the list grows as nodes become ready
+            for child in successors[name]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    order.append(child)
+        if len(order) != len(indegree):
+            digraph = self.to_networkx()
             try:
                 members = [edge[0] for edge in nx.find_cycle(digraph)]
-            except nx.NetworkXNoCycle:  # pragma: no cover - unfeasible => cycle
+            except nx.NetworkXNoCycle:  # pragma: no cover - leftover => cycle
                 members = []
             raise GraphCycleError(
                 f"graph {self.name!r} contains a cycle through "
                 f"{' -> '.join(members)}",
                 node=members[0] if members else None,
             ) from None
-        by_name = {node.name: node for node in self.nodes}
         return [by_name[name] for name in order]
 
     def validate(self, signatures: bool = False) -> None:
@@ -393,19 +452,18 @@ class Graph:
         :class:`repro.caching.CompileCache` address compiled models by
         content.
         """
-        digest = hashlib.sha256()
-        digest.update(_canonical(self.name).encode())
+        parts = [_canonical(self.name)]
         for node in self.nodes:
-            digest.update(
-                _canonical(
-                    (node.name, node.op_type, node.inputs, node.outputs, node.attrs)
-                ).encode()
+            parts.append(
+                f"[{_canonical(node.name)},{_canonical(node.op_type)},"
+                f"{_canonical_names(node.inputs)},"
+                f"{_canonical_names(node.outputs)},{_canonical(node.attrs)}]"
             )
-        digest.update(_canonical(self.inputs).encode())
-        digest.update(_canonical(self.outputs).encode())
-        digest.update(_canonical(self.tensor_types).encode())
-        digest.update(_canonical(self.initializers).encode())
-        return digest.hexdigest()
+        parts.append(_canonical_names(self.inputs))
+        parts.append(_canonical_names(self.outputs))
+        parts.append(_canonical_dict(self.tensor_types, _canonical_type))
+        parts.append(_canonical(self.initializers))
+        return hashlib.sha256("".join(parts).encode()).hexdigest()
 
     def bind(self, bindings: dict[str, int]) -> "Graph":
         """Return a copy with symbolic dimensions substituted.

@@ -87,14 +87,13 @@ def _im2col(data: np.ndarray, k_h: int, k_w: int, stride: int,
 class ReferenceExecutor:
     """Evaluates graphs on numpy, one node at a time.
 
-    Repeated runs of one executor are cheap: the topological schedule
-    (which needs a networkx sort), fused-member flattening and the
-    per-op-type handler lookup are all resolved once and reused, and
-    materialized weights are cached. Pass ``weight_cache`` to share one
-    weight dictionary between several executors over the same graph and
-    seed (the calibration/verification sweep in :mod:`repro.quant` does
-    this) — weights are deterministic in (name, seed), so sharing never
-    changes results.
+    Repeated runs of one executor are cheap: the topological schedule,
+    fused-member flattening and the per-op-type handler lookup are all
+    resolved once and reused, and materialized weights are cached. Pass
+    ``weight_cache`` to share one weight dictionary between several
+    executors over the same graph and seed (the calibration/verification
+    sweep in :mod:`repro.quant` does this) — weights are deterministic in
+    (name, seed), so sharing never changes results.
 
     ``flatten_fused=False`` executes fused nodes through the dedicated
     :meth:`_op_fused` handler instead of splicing members into the

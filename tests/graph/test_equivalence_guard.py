@@ -11,6 +11,7 @@ from repro.core.config import dtu2_config
 from repro.core.datatypes import DType
 from repro.graph.builder import GraphBuilder
 from repro.graph.equivalence import verify_fused_graph
+from repro.graph.ir import Node
 from repro.graph.passes import optimize
 from repro.graph.reference import ReferenceExecutor
 from repro.obs import Observability
@@ -191,3 +192,50 @@ class TestStrictNumerics:
         with np.errstate(over="ignore"):
             outputs = ReferenceExecutor(graph).run(x=np.full((2, 4), 1e200))
         assert np.all(np.isinf(outputs["act.out"]))
+
+
+def _cnn_with_alias():
+    """``_cnn`` with an identity between the activation and the head, so
+    the optimizer rewires a node's inputs as well as fusing."""
+    graph = _cnn()
+    flatten = next(node for node in graph.nodes if node.op_type == "flatten")
+    source = flatten.inputs[0]
+    graph.nodes.insert(
+        graph.nodes.index(flatten),
+        Node("alias", "identity", [source], ["alias.out"]),
+    )
+    graph.tensor_types["alias.out"] = graph.tensor_types[source]
+    flatten.inputs = ["alias.out"]
+    return graph
+
+
+class TestCallerGraphUntouched:
+    """``compile_graph`` never mutates the graph it is handed."""
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_plain_and_guarded_compiles(self, fusion, verify):
+        graph = _cnn_with_alias()
+        digest, nodes = graph.structural_hash(), list(graph.nodes)
+        result = compile_graph(
+            graph, dtu2_config(), dtype=DType.FP16, fusion=fusion,
+            verify_fusion=verify,
+        )
+        assert result.fusion is fusion
+        assert graph.structural_hash() == digest
+        assert all(got is node for got, node in zip(graph.nodes, nodes))
+        assert len(graph.nodes) == len(nodes)
+
+    def test_guard_fallback(self, doctored_fused_op):
+        graph = _cnn_with_alias()
+        digest, nodes = graph.structural_hash(), list(graph.nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = compile_graph(
+                graph, dtu2_config(), dtype=DType.FP16, fusion=True,
+                verify_fusion=True,
+            )
+        assert result.fell_back
+        assert graph.structural_hash() == digest
+        assert all(got is node for got, node in zip(graph.nodes, nodes))
+        assert len(graph.nodes) == len(nodes)

@@ -1,9 +1,16 @@
 """Unit tests for the graph IR."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.core.datatypes import DType
-from repro.graph.ir import Graph, GraphError, Node, TensorType
+from repro.graph.fuzz import generate_graph
+from repro.graph.ir import Graph, GraphCycleError, GraphError, Node, TensorType
+from repro.graph.passes import optimize
+from repro.graph.shape_inference import bind_shapes
+from repro.models import zoo
 
 
 class TestTensorType:
@@ -24,6 +31,10 @@ class TestTensorType:
         tensor_type = TensorType(("batch", "seq", 64))
         bound = tensor_type.bind({"batch": 2, "seq": 128})
         assert bound.shape == (2, 128, 64)
+
+    def test_bind_of_a_static_type_is_the_type(self):
+        tensor_type = TensorType((2, 3))
+        assert tensor_type.bind({"batch": 2}) is tensor_type
 
     def test_bind_partial_leaves_symbols(self):
         tensor_type = TensorType(("batch", "seq"))
@@ -143,3 +154,93 @@ class TestGraphBind:
         graph.initializers = {"w"}
         graph.tensor_types["w"] = TensorType((10, 10), DType.FP32)
         assert graph.weight_bytes() == 400
+
+
+def _networkx_order(graph):
+    """The reference order: a networkx sort mapped back to nodes."""
+    by_name = {node.name: node for node in graph.nodes}
+    return [by_name[name] for name in nx.topological_sort(graph.to_networkx())]
+
+
+def _assert_networkx_order(graph):
+    got = graph.topological_nodes()
+    want = _networkx_order(graph)
+    assert [node.name for node in got] == [node.name for node in want]
+    assert all(a is b for a, b in zip(got, want))
+
+
+def _chain_graph(name, nodes):
+    graph = Graph(name=name, inputs=["x"], outputs=[nodes[-1].outputs[0]])
+    graph.tensor_types["x"] = TensorType((4,))
+    graph.nodes = nodes
+    return graph
+
+
+class TestTopologicalOrderOracle:
+    """``topological_nodes`` is exactly the networkx sort, node for node."""
+
+    @pytest.mark.parametrize("name", zoo.MODEL_NAMES)
+    def test_zoo_raw_bound_and_optimized(self, name):
+        graph = zoo.build(name)
+        bound = bind_shapes(graph, batch=1)
+        fused, _report = optimize(bound.bind({}), fusion=True)
+        unfused, _report = optimize(bound.bind({}), fusion=False)
+        for candidate in (graph, bound, fused, unfused):
+            _assert_networkx_order(candidate)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fuzz_graphs_in_any_list_order(self, seed):
+        _family, graph = generate_graph(seed, 0)
+        _assert_networkx_order(graph)
+        shuffled = graph.bind({})
+        random.Random(seed).shuffle(shuffled.nodes)
+        _assert_networkx_order(shuffled)
+
+    def test_duplicate_edge_counts_once(self):
+        graph = _chain_graph("dup", [
+            Node("a", "relu", ["x"], ["a.out"]),
+            Node("b", "add", ["a.out", "a.out"], ["b.out"]),
+            Node("c", "relu", ["x"], ["c.out"]),
+            Node("d", "add", ["b.out", "c.out"], ["d.out"]),
+        ])
+        assert [node.name for node in graph.topological_nodes()] == [
+            "a", "c", "b", "d",
+        ]
+        _assert_networkx_order(graph)
+
+    def test_producers_listed_after_their_consumer(self):
+        graph = _chain_graph("backwards", [
+            Node("d", "add", ["c.out", "b.out"], ["d.out"]),
+            Node("c", "relu", ["a.out"], ["c.out"]),
+            Node("b", "relu", ["x"], ["b.out"]),
+            Node("a", "relu", ["x"], ["a.out"]),
+        ])
+        assert [node.name for node in graph.topological_nodes()] == [
+            "b", "a", "c", "d",
+        ]
+        _assert_networkx_order(graph)
+
+    def test_self_loop_names_the_node(self):
+        graph = _chain_graph("loop", [
+            Node("a", "relu", ["x"], ["a.out"]),
+            Node("s", "add", ["a.out", "s.out"], ["s.out"]),
+        ])
+        with pytest.raises(GraphCycleError) as caught:
+            graph.topological_nodes()
+        assert str(caught.value) == "graph 'loop' contains a cycle through s"
+        assert caught.value.node == "s"
+
+    def test_longer_cycle_names_its_path(self):
+        graph = _chain_graph("ring", [
+            Node("entry", "relu", ["x"], ["entry.out"]),
+            Node("b", "add", ["entry.out", "d.out"], ["b.out"]),
+            Node("c", "relu", ["b.out"], ["c.out"]),
+            Node("d", "relu", ["c.out"], ["d.out"]),
+            Node("tail", "relu", ["d.out"], ["tail.out"]),
+        ])
+        with pytest.raises(GraphCycleError) as caught:
+            graph.topological_nodes()
+        assert str(caught.value) == (
+            "graph 'ring' contains a cycle through b -> c -> d"
+        )
+        assert caught.value.node == "b"
