@@ -1000,7 +1000,6 @@ def run_scenario(
     seed: int = 0,
     obs: Observability | None = None,
     measured: bool = False,
-    routing: str | None = None,
 ) -> ScenarioResult:
     """Run one scenario and check every declared invariant.
 
@@ -1009,9 +1008,6 @@ def run_scenario(
     streams), so one root reproduces the entire suite. With
     ``measured=True`` the fleet uses detailed-simulator service times
     (memoized process-wide) instead of the synthetic defaults.
-    ``routing`` selects the fleet's replica-selection implementation
-    (``"heap"``/``"reference"`` — see :mod:`repro.serving.routing`);
-    both produce byte-identical suite reports.
     """
     own_obs = obs if obs is not None else Observability()
     fleet_config = replace(
@@ -1033,7 +1029,6 @@ def run_scenario(
         service_times_ns=service_times,
         admission=scenario.admission,
         autoscaler=scenario.autoscaler,
-        routing=routing,
         powercap=scenario.powercap,
         sdc=scenario.sdc,
     )
@@ -1045,20 +1040,17 @@ def run_scenario(
     sweep = None
     if scenario.overload_multipliers:
         sweep = _overload_sweep(
-            scenario, seed, fleet_config, service_times, violations,
-            routing=routing,
+            scenario, seed, fleet_config, service_times, violations
         )
     cap_sweep = None
     if scenario.cap_multipliers and scenario.powercap is not None:
         cap_sweep = _cap_sweep(
-            scenario, seed, fleet_config, service_times, violations,
-            routing=routing,
+            scenario, seed, fleet_config, service_times, violations
         )
     sdc_control = None
     if scenario.sdc is not None:
         sdc_control = _sdc_control(
-            scenario, seed, fleet_config, service_times, violations,
-            routing=routing,
+            scenario, seed, fleet_config, service_times, violations
         )
     return ScenarioResult(
         scenario=scenario, report=report, violations=violations, sweep=sweep,
@@ -1102,7 +1094,6 @@ def _overload_sweep(
     fleet_config: FleetConfig,
     service_times: dict[str, float] | None,
     violations: list[str],
-    routing: str | None = None,
 ) -> list[dict]:
     """Shed-monotonicity: re-run at scaled offered loads, off-telemetry.
 
@@ -1122,7 +1113,6 @@ def _overload_sweep(
         ),
         admission=scenario.admission,
         autoscaler=scenario.autoscaler,
-        routing=routing,
     )
     rows: list[dict] = []
     previous_rate: float | None = None
@@ -1154,7 +1144,6 @@ def _cap_sweep(
     fleet_config: FleetConfig,
     service_times: dict[str, float] | None,
     violations: list[str],
-    routing: str | None = None,
 ) -> list[dict]:
     """Cap-monotonicity: re-run the same trace under tightening budgets.
 
@@ -1183,7 +1172,6 @@ def _cap_sweep(
             ),
             admission=scenario.admission,
             autoscaler=scenario.autoscaler,
-            routing=routing,
             powercap=scenario.powercap.scaled(multiplier),
         )
         trace = _scenario_trace(scenario, seed)
@@ -1230,7 +1218,6 @@ def _sdc_control(
     fleet_config: FleetConfig,
     service_times: dict[str, float] | None,
     violations: list[str],
-    routing: str | None = None,
 ) -> dict:
     """Undefended-exposure: rerun the same storm with every defense off.
 
@@ -1252,7 +1239,6 @@ def _sdc_control(
         ),
         admission=scenario.admission,
         autoscaler=scenario.autoscaler,
-        routing=routing,
         powercap=scenario.powercap,
         sdc=SdcConfig(),
     )
@@ -1287,10 +1273,8 @@ def _prewarm_compiles(device_models) -> None:
 
 def _run_scenario_task(task) -> ScenarioResult:
     """Sharded-worker body: one named scenario run (picklable result)."""
-    name, seed, measured, routing = task
-    return run_scenario(
-        SCENARIOS[name], seed=seed, measured=measured, routing=routing
-    )
+    name, seed, measured = task
+    return run_scenario(SCENARIOS[name], seed=seed, measured=measured)
 
 
 def run_suite(
@@ -1299,7 +1283,6 @@ def run_suite(
     quick: bool = False,
     measured: bool = False,
     workers: int | None = None,
-    routing: str | None = None,
 ) -> SuiteResult:
     """Run a set of built-in scenarios (all, the quick subset, or named).
 
@@ -1339,7 +1322,7 @@ def run_suite(
     suite = SuiteResult(seed=seed)
     suite.results = run_sharded(
         _run_scenario_task,
-        [(name, seed, measured, routing) for name in selected],
+        [(name, seed, measured) for name in selected],
         workers=workers,
     )
     return suite

@@ -524,7 +524,6 @@ def _cmd_chaos(args) -> int:
     suite = run_suite(
         names=names, seed=args.seed, quick=args.quick,
         measured=args.measured, workers=args.workers,
-        routing=args.routing,
     )
     if args.json:
         print(suite.to_json())
@@ -701,12 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard scenarios across N worker processes "
                             "(default: CPU count; 1 forces serial; results "
                             "are byte-identical either way)")
-    chaos.add_argument("--routing", choices=("heap", "reference"),
-                       default=None,
-                       help="fleet replica-selection implementation "
-                            "(default: heap, or REPRO_FLEET_ROUTING; the "
-                            "reference path is the pinned O(N) scan — "
-                            "reports are byte-identical either way)")
 
     fuzz = commands.add_parser(
         "fuzz", help="differential graph fuzzer over the compile pipeline"

@@ -23,7 +23,7 @@ from repro.memory.hierarchy import MemoryLevel
 from repro.power.cpme import Cpme
 from repro.power.dvfs import DvfsController
 from repro.power.model import DvfsCurve, UnitPowerModel, chip_power_units
-from repro.sim.kernel import Simulator, make_simulator
+from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace
 
 
@@ -32,9 +32,7 @@ class Accelerator:
     """A simulated accelerator card (DTU + HBM + power management)."""
 
     chip: ChipConfig
-    # make_simulator honours REPRO_SIM_ENGINE: the whole card (and any
-    # fleet of cards) can be flipped onto the pinned reference event core.
-    sim: Simulator = field(default_factory=make_simulator)
+    sim: Simulator = field(default_factory=Simulator)
     trace: Trace = field(default_factory=Trace)
     groups: list[ProcessingGroup] = field(default_factory=list)
     l3: MemoryLevel | None = None

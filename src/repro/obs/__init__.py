@@ -40,13 +40,12 @@ from repro.obs.exporters import (
     to_chrome_trace,
     to_json_snapshot,
     to_prometheus_text,
+    tracer_from_trace,
 )
 from repro.obs.labels import (
-    DEFAULT_DEVICE_LABEL_CAP,
-    DEVICE_LABEL_CAP_ENV_VAR,
+    DEVICE_LABEL_CAP,
     OVERFLOW_DEVICE_LABEL,
     device_label,
-    device_label_cap,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS_MS,
@@ -77,10 +76,9 @@ class Observability:
 
 __all__ = [
     "Counter", "CounterSample", "DEFAULT_BUCKETS_MS", "DEFAULT_BUCKETS_NS",
-    "DEFAULT_DEVICE_LABEL_CAP", "DEVICE_LABEL_CAP_ENV_VAR", "Gauge",
-    "Histogram", "LAYERS", "MetricsRegistry", "OVERFLOW_DEVICE_LABEL",
-    "Observability", "Span", "SpanHandle", "TraceContext", "TraceEvent",
-    "Tracer", "device_label", "device_label_cap", "save_chrome_trace",
-    "save_json_snapshot", "to_chrome_trace", "to_json_snapshot",
-    "to_prometheus_text",
+    "DEVICE_LABEL_CAP", "Gauge", "Histogram", "LAYERS", "MetricsRegistry",
+    "OVERFLOW_DEVICE_LABEL", "Observability", "Span", "SpanHandle",
+    "TraceContext", "TraceEvent", "Tracer", "device_label",
+    "save_chrome_trace", "save_json_snapshot", "to_chrome_trace",
+    "to_json_snapshot", "to_prometheus_text", "tracer_from_trace",
 ]

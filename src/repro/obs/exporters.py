@@ -1,11 +1,11 @@
 """Exporters: Chrome ``trace_event`` JSON, Prometheus text, JSON snapshot.
 
-The Chrome exporter is the whole-stack successor of
-``repro.sim.trace_export`` (which now delegates here): each *layer*
+The Chrome exporter renders whole-stack traces: each *layer*
 (serving / runtime / sim / fault / power) becomes one process row, each
 *track* within it (tenant, device, engine, component) one thread row.
-Load the file in ``chrome://tracing`` or https://ui.perfetto.dev — see
-docs/observability.md for a walkthrough.
+A bare simulator :class:`~repro.sim.trace.Trace` goes through
+:func:`tracer_from_trace` first. Load the file in ``chrome://tracing`` or
+https://ui.perfetto.dev — see docs/observability.md for a walkthrough.
 """
 
 from __future__ import annotations
@@ -35,6 +35,26 @@ def _ordered_layers(tracer: Tracer) -> list[str]:
     ordered = [layer for layer in LAYERS if layer in present]
     ordered.extend(sorted(present - set(LAYERS)))
     return ordered
+
+
+def tracer_from_trace(trace, parent=None) -> Tracer:
+    """Adapt a sim :class:`~repro.sim.trace.Trace` into a span tracer.
+
+    One sim-layer span per interval, tracked by engine and categorised by
+    engine family (``core``, ``dma``, ...).
+    """
+    tracer = Tracer()
+    for interval in trace.intervals:
+        tracer.add_span(
+            interval.label,
+            layer="sim",
+            start_ns=interval.start,
+            end_ns=interval.end,
+            parent=parent,
+            track=interval.engine,
+            cat=interval.engine.split(".", 1)[0],
+        )
+    return tracer
 
 
 def to_chrome_trace(

@@ -4,7 +4,7 @@ Every replica a fleet opens gets its own ``device="<id>"`` label on
 launch counters and its own ``device.<id>`` span track.  At thousands of
 devices that explodes registry/trace cardinality — the classic
 high-cardinality-label failure.  :func:`device_label` applies a
-documented aggregation threshold: the first ``REPRO_OBS_DEVICE_LABEL_CAP``
+documented aggregation threshold: the first :data:`DEVICE_LABEL_CAP`
 distinct device ids seen by one :class:`~repro.obs.Observability` hub
 keep their labels; every later id collapses into the ``device="other"``
 overflow bucket (docs/observability.md).
@@ -17,20 +17,14 @@ per-device labels exactly as before.
 
 from __future__ import annotations
 
-import os
-
 __all__ = [
-    "DEVICE_LABEL_CAP_ENV_VAR",
-    "DEFAULT_DEVICE_LABEL_CAP",
+    "DEVICE_LABEL_CAP",
     "OVERFLOW_DEVICE_LABEL",
     "device_label",
-    "device_label_cap",
 ]
 
-DEVICE_LABEL_CAP_ENV_VAR = "REPRO_OBS_DEVICE_LABEL_CAP"
-"""Environment knob: max distinct per-device label values per registry."""
-
-DEFAULT_DEVICE_LABEL_CAP = 64
+DEVICE_LABEL_CAP = 64
+"""Max distinct per-device label values per registry."""
 
 OVERFLOW_DEVICE_LABEL = "other"
 """Bucket that absorbs devices beyond the cap."""
@@ -38,29 +32,14 @@ OVERFLOW_DEVICE_LABEL = "other"
 _CENSUS_ATTR = "_device_label_census"
 
 
-def device_label_cap() -> int:
-    """Current cap (env override, else 64); values < 1 disable capping."""
-    raw = os.environ.get(DEVICE_LABEL_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DEVICE_LABEL_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{DEVICE_LABEL_CAP_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-
-
 def device_label(obs, device_id: str) -> str:
     """Label value for ``device_id`` under ``obs``'s cardinality budget.
 
-    Deterministic for a fixed open/launch order: the first ``cap``
-    distinct ids admitted by this hub keep their identity for the hub's
-    lifetime; later ids all map to :data:`OVERFLOW_DEVICE_LABEL`.
+    Deterministic for a fixed open/launch order: the first
+    :data:`DEVICE_LABEL_CAP` distinct ids admitted by this hub keep their
+    identity for the hub's lifetime; later ids all map to
+    :data:`OVERFLOW_DEVICE_LABEL`.
     """
-    cap = device_label_cap()
-    if cap < 1:
-        return device_id
     registry = obs.metrics
     census = getattr(registry, _CENSUS_ATTR, None)
     if census is None:
@@ -68,7 +47,7 @@ def device_label(obs, device_id: str) -> str:
         setattr(registry, _CENSUS_ATTR, census)
     if device_id in census:
         return device_id
-    if len(census) < cap:
+    if len(census) < DEVICE_LABEL_CAP:
         census.add(device_id)
         return device_id
     return OVERFLOW_DEVICE_LABEL

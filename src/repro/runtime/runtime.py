@@ -28,11 +28,6 @@ from repro.graph.ir import Graph
 from repro.graph.shape_inference import bind_shapes, dynamic_symbols
 from repro.runtime.executor import ExecutionResult, Executor
 
-#: Deprecated alias — the class is now :class:`repro.core.errors.ReproRuntimeError`,
-#: giving fault-path exceptions (repro.faults.errors) a sane hierarchy to extend.
-RuntimeError_ = ReproRuntimeError
-
-
 #: Process-wide monotonic counter behind Device.open's auto-assigned ids.
 _OPEN_COUNTER = count()
 
@@ -212,7 +207,7 @@ class Device:
         launch_handle = None
         # Per-device track: distinct cards opened against one tracer keep
         # their launches on separate rows (and the span carries the id).
-        # Beyond REPRO_OBS_DEVICE_LABEL_CAP distinct cards, the identity
+        # Beyond DEVICE_LABEL_CAP (64) distinct cards, the identity
         # collapses into the "other" bucket (repro.obs.labels) so
         # thousand-device fleets don't explode span/label cardinality.
         device_name = self.device_id

@@ -49,10 +49,9 @@ from repro.runtime.runtime import Device
 from repro.seeding import derive_rng, derive_seed
 from repro.serving.routing import (
     Backlog,
+    HeapRouter,
     PowerAwareRouter,
     ReplicaStatus,
-    make_router,
-    resolve_routing,
 )
 from repro.serving.server import (
     ClassBook,
@@ -373,7 +372,6 @@ class FleetManager:
         service_times_ns: dict[str, float] | None = None,
         admission=None,
         autoscaler=None,
-        routing: str | None = None,
         powercap=None,
         sdc=None,
     ) -> None:
@@ -423,12 +421,9 @@ class FleetManager:
                 self.service_times_ns[tenant.name] = measure_service_time_ns(
                     tenant.model, tenant.groups
                 )
-        # Replica selection: "heap" (the O(log N) fast path, default) or
-        # "reference" (the pinned O(N) scans) — explicit arg wins over the
-        # REPRO_FLEET_ROUTING environment override. Both produce
-        # byte-identical reports (tests/serving/test_routing.py).
-        self.routing = resolve_routing(routing)
-        self._router = make_router(self.routing)
+        # Replica selection: the O(log N) heaps, pinned to the O(N)
+        # ReferenceRouter scans by tests/serving/test_routing.py.
+        self._router = HeapRouter()
         if self._governor is not None:
             self._router = PowerAwareRouter(self._router)
         if self.sdc_config is not None:

@@ -17,6 +17,10 @@ interchangeable routers behind one interface:
   selection it makes is *provably identical* to the reference scan for
   every query the fleet issues, so whole-run reports are byte-identical.
 
+The fleet always builds a :class:`HeapRouter`; the equivalence tests
+substitute :class:`ReferenceRouter` by patching
+``repro.serving.fleet.HeapRouter``.
+
 Heap layout.  Active replicas live in two heaps anchored to a monotone
 *routing clock* (the last trace arrival the fleet advanced to):
 
@@ -47,7 +51,6 @@ by the in-flight depth instead of the trace length.
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 from heapq import heappop, heappush
 
@@ -60,15 +63,7 @@ __all__ = [
     "PrunedFinishes",
     "ReferenceRouter",
     "ReplicaStatus",
-    "ROUTING_ENV_VAR",
-    "make_router",
-    "resolve_routing",
 ]
-
-ROUTING_ENV_VAR = "REPRO_FLEET_ROUTING"
-"""Environment override for the fleet routing implementation."""
-
-_ROUTINGS = ("heap", "reference")
 
 
 class ReplicaStatus(str, Enum):
@@ -82,23 +77,6 @@ class ReplicaStatus(str, Enum):
     """Drained after consecutive fatal outcomes; repair in progress."""
     RETIRED = "retired"
     """Failed ``max_repair_attempts`` probes; permanently out."""
-
-
-def resolve_routing(routing: str | None = None) -> str:
-    """Pick the routing implementation: explicit arg > env > ``"heap"``."""
-    if routing is None:
-        routing = os.environ.get(ROUTING_ENV_VAR) or "heap"
-    if routing not in _ROUTINGS:
-        raise ValueError(
-            f"unknown fleet routing {routing!r}; expected one of {_ROUTINGS}"
-        )
-    return routing
-
-
-def make_router(routing: str | None = None) -> "FleetRouter":
-    """Build the router selected by :func:`resolve_routing`."""
-    routing = resolve_routing(routing)
-    return HeapRouter() if routing == "heap" else ReferenceRouter()
 
 
 class FleetRouter:

@@ -8,16 +8,13 @@ from repro.sim.kernel import (
     SimulationError,
     Simulator,
     Timeout,
-    make_simulator,
 )
 from repro.sim.kernel_reference import ReferenceSimulator
 from repro.sim.parallel import ShardError, default_workers, run_sharded
 from repro.sim.trace import Interval, Trace
-from repro.sim.trace_export import save_chrome_trace, to_chrome_trace
 
 __all__ = [
     "AllOf", "Event", "Interval", "Process", "ReferenceSimulator", "Resource",
     "ShardError", "SimulationError", "Simulator", "Timeout", "Trace",
-    "default_workers", "make_simulator", "run_sharded", "save_chrome_trace",
-    "to_chrome_trace",
+    "default_workers", "run_sharded",
 ]

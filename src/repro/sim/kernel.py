@@ -38,16 +38,15 @@ Two interchangeable event cores implement the same scheduling contract:
 Both order the event queue by ``(time, sequence)`` — ``sequence`` is a
 per-simulator monotonic counter, so ties at one timestamp resolve in
 scheduling order and **never** by object identity. Any workload must
-produce byte-identical traces and clocks on both engines; pick one with
-:func:`make_simulator` (or ``REPRO_SIM_ENGINE=reference`` in the
-environment).
+produce byte-identical traces and clocks on both engines. Production
+always builds :class:`Simulator`; the equivalence tests pass a
+``ReferenceSimulator`` in explicitly.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass, field
 
 
@@ -371,28 +370,6 @@ class Simulator:
             self.events_dispatched += dispatched
             self.time_steps += steps
         return self.now
-
-
-def make_simulator(engine: str | None = None):
-    """Build an event core by name: ``"fast"`` (default) or ``"reference"``.
-
-    With ``engine=None`` the choice comes from the ``REPRO_SIM_ENGINE``
-    environment variable, so a whole run — accelerators, fleets, benches —
-    can be flipped onto the pinned reference kernel without code changes.
-    Both engines satisfy the same ordering contract (docs/sim-internals.md)
-    and must produce byte-identical results.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_SIM_ENGINE", "fast")
-    if engine == "fast":
-        return Simulator()
-    if engine == "reference":
-        from repro.sim.kernel_reference import ReferenceSimulator
-
-        return ReferenceSimulator()
-    raise SimulationError(
-        f"unknown simulation engine {engine!r}; expected 'fast' or 'reference'"
-    )
 
 
 @dataclass

@@ -17,7 +17,7 @@ Bit-reproducibility contract (see docs/sim-internals.md):
   completion order, so the merged list is byte-identical to the serial
   list — only wall-clock changes;
 - anything that would break that contract (platforms without ``fork``,
-  a single worker, one task, ``REPRO_SIM_WORKERS=1``) degrades to plain
+  a single worker, one task, ``workers=1``) degrades to plain
   serial execution of the identical code path.
 
 Workers are plain ``os.fork`` children writing one pickle to a pipe and
@@ -42,9 +42,6 @@ __all__ = [
     "run_sharded",
     "run_sharded_with_stats",
 ]
-
-#: Environment override for the worker count; ``1`` forces serial.
-ENV_WORKERS = "REPRO_SIM_WORKERS"
 
 #: Soft cap when sizing from ``os.cpu_count`` — sharded simulations are
 #: CPU-bound, so oversubscription only adds scheduler noise.
@@ -93,20 +90,10 @@ class ShardStats:
 def default_workers(tasks: int, workers: int | None = None) -> int:
     """Resolve the worker count for ``tasks`` independent tasks.
 
-    Explicit ``workers`` wins, then the ``REPRO_SIM_WORKERS`` environment
-    variable, then ``min(tasks, cpu_count, DEFAULT_MAX_WORKERS)``. The
-    result is clamped to ``[1, tasks]`` and collapses to 1 when the
-    platform cannot fork.
+    Explicit ``workers`` wins (``1`` forces serial), else
+    ``min(tasks, cpu_count, DEFAULT_MAX_WORKERS)``. The result is clamped
+    to ``[1, tasks]`` and collapses to 1 when the platform cannot fork.
     """
-    if workers is None:
-        env = os.environ.get(ENV_WORKERS, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_WORKERS}={env!r} is not an integer"
-                ) from None
     if workers is None:
         try:
             cpus = len(os.sched_getaffinity(0))

@@ -99,12 +99,11 @@ class TestExecution:
 
 
 class TestDeviceApi:
-    def test_runtime_error_rename_keeps_alias(self):
+    def test_runtime_reexports_repro_runtime_error(self):
         from repro.core.errors import ReproRuntimeError
         from repro.runtime import runtime
 
         assert runtime.ReproRuntimeError is ReproRuntimeError
-        assert runtime.RuntimeError_ is ReproRuntimeError  # deprecated alias
         assert issubclass(ReproRuntimeError, RuntimeError)
 
     def test_open_by_name(self):

@@ -1,11 +1,11 @@
-"""Tests for the Chrome trace exporter."""
+"""Tests for exporting bare simulator traces to Chrome trace JSON."""
 
 import json
 
 from repro.models import build
+from repro.obs import save_chrome_trace, to_chrome_trace, tracer_from_trace
 from repro.runtime.runtime import Device
 from repro.sim.trace import Trace
-from repro.sim.trace_export import save_chrome_trace, to_chrome_trace
 
 
 def _sample_trace():
@@ -17,13 +17,13 @@ def _sample_trace():
 
 
 def test_one_slice_per_interval():
-    document = to_chrome_trace(_sample_trace())
+    document = to_chrome_trace(tracer_from_trace(_sample_trace()))
     slices = [e for e in document["traceEvents"] if e["ph"] == "X"]
     assert len(slices) == 3
 
 
 def test_threads_named_after_engines():
-    document = to_chrome_trace(_sample_trace())
+    document = to_chrome_trace(tracer_from_trace(_sample_trace()))
     names = {
         event["args"]["name"]
         for event in document["traceEvents"]
@@ -33,7 +33,7 @@ def test_threads_named_after_engines():
 
 
 def test_timestamps_in_microseconds():
-    document = to_chrome_trace(_sample_trace())
+    document = to_chrome_trace(tracer_from_trace(_sample_trace()))
     conv = next(
         e for e in document["traceEvents"]
         if e["ph"] == "X" and e["name"] == "conv_0" and e["cat"] == "core"
@@ -43,13 +43,15 @@ def test_timestamps_in_microseconds():
 
 
 def test_categories_split_engine_families():
-    document = to_chrome_trace(_sample_trace())
+    document = to_chrome_trace(tracer_from_trace(_sample_trace()))
     categories = {e["cat"] for e in document["traceEvents"] if e["ph"] == "X"}
     assert categories == {"core", "dma"}
 
 
 def test_save_is_valid_json(tmp_path):
-    path = save_chrome_trace(_sample_trace(), tmp_path / "trace.json")
+    path = save_chrome_trace(
+        tracer_from_trace(_sample_trace()), tmp_path / "trace.json"
+    )
     document = json.loads(path.read_text())
     assert "traceEvents" in document
 
@@ -59,7 +61,8 @@ def test_real_execution_trace_exports(tmp_path):
     compiled = device.compile(build("resnet50"), batch=1)
     device.launch(compiled, num_groups=3)
     path = save_chrome_trace(
-        device.accelerator.trace, tmp_path / "resnet50.json"
+        tracer_from_trace(device.accelerator.trace),
+        tmp_path / "resnet50.json",
     )
     document = json.loads(path.read_text())
     slices = [e for e in document["traceEvents"] if e["ph"] == "X"]

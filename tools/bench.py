@@ -246,9 +246,11 @@ def bench_fleet_scale(quick: bool) -> dict:
     not gated), with the tenant models already in the compile cache.
     """
     import json as _json
+    from unittest import mock
 
     from repro.serving.fleet import FleetConfig, FleetManager
     from repro.serving.loadgen import LoadSpec, generate_load
+    from repro.serving.routing import ReferenceRouter
     from repro.serving.server import RasConfig, TenantConfig
 
     tenants = [
@@ -271,7 +273,7 @@ def bench_fleet_scale(quick: bool) -> dict:
     trace = generate_load(specs, duration_s=duration_s, seed=23)
     sizes = [16, 256] if quick else [16, 256, 2048]
 
-    def fleet(replicas: int, routing: str) -> FleetManager:
+    def fleet(replicas: int) -> FleetManager:
         return FleetManager(
             tenants,
             config=FleetConfig(
@@ -280,16 +282,15 @@ def bench_fleet_scale(quick: bool) -> dict:
             ),
             ras=RasConfig(queue_depth_limit=4096),
             service_times_ns=dict(service_times_ns),
-            routing=routing,
         )
 
     metrics: dict[str, float] = {"trace_requests": float(len(trace))}
     wall_total = 0.0
     cost_by_size: dict[int, float] = {}
-    fleet(1, "heap")  # warm the compile cache: no size pays the first lowering
+    fleet(1)  # warm the compile cache: no size pays the first lowering
     for replicas in sizes:
         start = time.perf_counter()
-        manager = fleet(replicas, "heap")
+        manager = fleet(replicas)
         metrics[f"init_wall_seconds_{replicas}"] = time.perf_counter() - start
         start = time.perf_counter()
         report = manager.run(trace)
@@ -306,7 +307,13 @@ def bench_fleet_scale(quick: bool) -> dict:
         if replicas == 16:
             heap_json = _json.dumps(report.to_dict(), sort_keys=True)
             start = time.perf_counter()
-            reference = fleet(replicas, "reference").run(trace)
+            # The pinned O(N) router, substituted where the fleet builds
+            # its heap router.
+            with mock.patch(
+                "repro.serving.fleet.HeapRouter", ReferenceRouter
+            ):
+                reference_fleet = fleet(replicas)
+            reference = reference_fleet.run(trace)
             wall_total += time.perf_counter() - start
             reference_json = _json.dumps(
                 reference.to_dict(), sort_keys=True
