@@ -195,6 +195,12 @@ class TestChaosCli:
     def test_unknown_scenario_is_a_usage_error(self, capsys):
         assert main(["chaos", "--scenario", "nope"]) == 2
 
+    def test_routing_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--routing", "heap"])
+        assert exit_info.value.code == 2
+        assert "--routing" in capsys.readouterr().err
+
     def test_profile_fleet_prints_fleet_gauges(self, capsys):
         assert main(["profile", "resnet50", "--fleet"]) == 0
         out = capsys.readouterr().out
