@@ -18,7 +18,7 @@ executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compiler.errors import CompileError
 from repro.compiler.kernel import Kernel, KernelCost
@@ -65,6 +65,12 @@ class CompiledModel:
     dtype: DType
     chip: ChipConfig
     fusion_groups: int = 0
+    launch_plans: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    """The runtime's launch plans by group count, one per chip, built on
+    first launch (:func:`repro.runtime.executor.launch_plan`). They hold
+    numbers and strings only, so a cached model keeps no device alive."""
 
     @property
     def total_flops(self) -> float:

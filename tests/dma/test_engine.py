@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import dtu2_config
 from repro.dma.broadcast import BroadcastError, broadcast_to_groups
-from repro.dma.engine import DmaEngine, DmaRouteError
+from repro.dma.engine import DmaEngine, DmaRouteError, check_route
 from repro.dma.repeat import RepeatDescriptor
 from repro.dma.transforms import TransformError
 from repro.memory.hierarchy import MemoryLevel
@@ -53,6 +53,22 @@ class TestRouting:
         )
         with pytest.raises(DmaRouteError):
             DmaEngine(sim).validate_route(l1, odd)
+
+
+    def test_transfer_checks_every_route_before_it_starts(self, setup):
+        sim, l1, l2, l3 = setup
+        engine = DmaEngine(sim, allow_direct_l1_l3=False)
+        with pytest.raises(DmaRouteError, match="any-direction"):
+            engine.transfer(MB, l3, [l2, l1])  # raises at the call
+        assert sim.now == 0.0 and engine.stats.transactions == 0
+
+    def test_check_route_by_level_name(self):
+        check_route("L3", "L2.c0g0", allow_direct_l1_l3=False)
+        check_route("L1.core0", "L3", allow_direct_l1_l3=True)
+        with pytest.raises(DmaRouteError, match="dma.g7: route L1.x -> L3"):
+            check_route("L1.x", "L3", allow_direct_l1_l3=False, engine="dma.g7")
+        with pytest.raises(DmaRouteError, match="not part of the hierarchy"):
+            check_route("L3", "scratch", allow_direct_l1_l3=True)
 
 
 class TestTiming:
