@@ -126,9 +126,10 @@ _VECTOR_CUTOFF = 64
 class _EngineTimeline:
     """Columnar (start, end) store for one engine's intervals.
 
-    Append-only, in record order: Python lists always, plus mirrored
+    Append-only, in record order: Python lists always, plus
     capacity-doubling NumPy buffers (when NumPy is available) for the
-    vectorized batch path.
+    vectorized batch path, mirrored from the lists only when a batch query
+    needs them (most engines never have one).
 
     Window queries keep a *monotone skip pointer*: the power manager asks
     about consecutive non-overlapping windows with ever-increasing
@@ -141,7 +142,7 @@ class _EngineTimeline:
     """
 
     __slots__ = (
-        "size", "_starts", "_ends", "_np_starts", "_np_ends",
+        "size", "_starts", "_ends", "_np_starts", "_np_ends", "_np_size",
         "_skip", "_skip_start", "scalar_queries", "vector_queries",
     )
 
@@ -153,28 +154,30 @@ class _EngineTimeline:
         self._skip_start = 0.0
         self.scalar_queries = 0
         self.vector_queries = 0
-        if np is not None:
-            self._np_starts = np.empty(16, dtype=np.float64)
-            self._np_ends = np.empty(16, dtype=np.float64)
-        else:  # pragma: no cover - no-NumPy fallback
-            self._np_starts = None
-            self._np_ends = None
+        self._np_starts = self._np_ends = None
+        self._np_size = 0
 
     def add(self, start: float, end: float) -> None:
         self._starts.append(start)
         self._ends.append(end)
-        size = self.size
-        if self._np_starts is not None:
-            if size == len(self._np_starts):
-                grown = np.empty(size * 2, dtype=np.float64)
-                grown[:size] = self._np_starts
-                self._np_starts = grown
-                grown = np.empty(size * 2, dtype=np.float64)
-                grown[:size] = self._np_ends
-                self._np_ends = grown
-            self._np_starts[size] = start
-            self._np_ends[size] = end
-        self.size = size + 1
+        self.size += 1
+
+    def _mirror(self) -> None:
+        """Bring the NumPy buffers up to date with the lists."""
+        size, mirrored = self.size, self._np_size
+        if self._np_starts is None or size > len(self._np_starts):
+            capacity = 16
+            while capacity < size:
+                capacity *= 2
+            for name in ("_np_starts", "_np_ends"):
+                grown = np.empty(capacity, dtype=np.float64)
+                old = getattr(self, name)
+                if old is not None:
+                    grown[:mirrored] = old[:mirrored]
+                setattr(self, name, grown)
+        self._np_starts[mirrored:size] = self._starts[mirrored:size]
+        self._np_ends[mirrored:size] = self._ends[mirrored:size]
+        self._np_size = size
 
     def busy_time(self, start: float, end: float) -> float:
         """Merged busy time inside [start, end) — bit-identical to the
@@ -220,6 +223,8 @@ class _EngineTimeline:
     def _busy_time_vector(self, ptr: int, start: float, end: float) -> float:
         """NumPy batch: overlap test, clip, merge as array operations."""
         self.vector_queries += 1
+        if self._np_size < self.size:
+            self._mirror()
         starts = self._np_starts[ptr:self.size]
         ends = self._np_ends[ptr:self.size]
         mask = (ends > start) & (starts < end)

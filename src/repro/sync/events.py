@@ -57,7 +57,9 @@ class Barrier:
         self.name = name
         self.generation = 0
         self._arrived = 0
-        self._gate = sim.event(name=f"{name}.gen0")
+        #: this generation's release event, made by its first arrival (most
+        #: barriers live for one generation: no event for the next)
+        self._gate: Event | None = None
 
     def arrive(self) -> Event:
         """Register arrival; yield the returned event to block until release."""
@@ -67,9 +69,13 @@ class Barrier:
                 f"{self.name}: {self._arrived} arrivals exceed {self.parties} parties"
             )
         gate = self._gate
+        if gate is None:
+            gate = self._gate = self.sim.event(
+                name=f"{self.name}.gen{self.generation}"
+            )
         if self._arrived == self.parties:
             self.generation += 1
             self._arrived = 0
-            self._gate = self.sim.event(name=f"{self.name}.gen{self.generation}")
+            self._gate = None
             gate.succeed()
         return gate
