@@ -68,6 +68,8 @@ class ReferenceSimulator:
         """
         if delay < 0:
             raise SimulationError(f"negative timer delay: {delay}")
+        if delay != delay:
+            raise SimulationError("NaN timer delay: it would fire at the current time")
         event = self.event(name=name or "timer")
         self._schedule(self.now + delay, event, value)
         return event

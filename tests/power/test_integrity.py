@@ -3,6 +3,7 @@
 import pytest
 
 from repro.power.cpme import Cpme, PowerIntegrityError
+from repro.power.errors import BudgetFloorError
 from repro.power.lpme import Lpme, WindowReport
 from repro.power.model import DvfsCurve, UnitPowerModel, UnitPowerParams, dtu2_power_units
 
@@ -65,6 +66,20 @@ class TestLpme:
         lpme = Lpme(unit_model=_unit(), budget_watts=2.5)
         report = lpme.observe(1.0, 1.4, 1000.0)
         assert lpme.effective_slowdown(report) == pytest.approx(2.0)
+
+    def test_reclaim_below_floor_raises_typed_error(self):
+        lpme = Lpme(unit_model=_unit(), budget_watts=2.5)
+        with pytest.raises(BudgetFloorError, match="static floor"):
+            lpme.reclaim(2.1)  # 0.4 W left < the 0.5 W static floor
+        assert lpme.budget_watts == 2.5
+        assert issubclass(BudgetFloorError, PowerIntegrityError)
+        assert issubclass(BudgetFloorError, RuntimeError)
+
+    def test_full_throttle_slowdown_raises_typed_error(self):
+        lpme = Lpme(unit_model=_unit(), budget_watts=2.5)
+        report = lpme.observe(1.0, 1.4, 1000.0)._replace(throttle=1.0)
+        with pytest.raises(BudgetFloorError, match="below static floor"):
+            lpme.effective_slowdown(report)
 
     def test_borrow_boundary_exactly_m_of_n(self):
         """Borrow fires at exactly M starved windows of the last N, not M-1.
