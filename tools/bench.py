@@ -161,9 +161,13 @@ def bench_e2e(model: str, quick: bool) -> dict:
     warm_s = time.perf_counter() - start
     assert recompiled is compiled, "warm compile missed the cache"
 
+    sim = device.accelerator.sim
+    events_before = sim.events_dispatched
     start = time.perf_counter()
     result = device.launch(compiled)
     launch_s = time.perf_counter() - start
+    # Every power window observes every LPME once; any unit counts them.
+    first_unit = next(iter(device.accelerator.cpme.lpmes.values()))
     return {
         "name": f"e2e.{model}",
         "wall_seconds": cold_s + warm_s + launch_s,
@@ -174,6 +178,10 @@ def bench_e2e(model: str, quick: bool) -> dict:
             "launch_wall_seconds": launch_s,
             "simulated_latency_ms": result.latency_ms,
             "kernels": float(len(compiled.kernels)),
+            "sim_events_per_kernel": (
+                (sim.events_dispatched - events_before) / len(compiled.kernels)
+            ),
+            "power_windows": float(first_unit.windows_observed),
         },
     }
 
