@@ -7,7 +7,7 @@ from repro.compiler.kernel import Kernel, KernelCost
 from repro.core.accelerator import Accelerator
 from repro.core.config import FeatureFlags
 from repro.core.datatypes import DType
-from repro.runtime.executor import Executor
+from repro.runtime.executor import kernel_compute_ns, kernel_wire_bytes
 
 MB = 1 << 20
 
@@ -27,63 +27,61 @@ def _kernel(flops=1e9, sparsity=0.0, category="conv"):
 
 
 @pytest.fixture
-def executor():
-    return Executor(Accelerator.cloudblazer_i20())
+def chip():
+    return Accelerator.cloudblazer_i20().chip
 
 
 class TestComputeTime:
-    def test_scales_inversely_with_clock(self, executor):
-        fast = executor._compute_time_ns(_kernel(), cores=4, clock_ghz=1.4)
-        slow = executor._compute_time_ns(_kernel(), cores=4, clock_ghz=0.7)
+    def test_scales_inversely_with_clock(self, chip):
+        fast = kernel_compute_ns(chip, _kernel(), cores=4, clock_ghz=1.4)
+        slow = kernel_compute_ns(chip, _kernel(), cores=4, clock_ghz=0.7)
         assert slow == pytest.approx(2 * fast)
 
-    def test_scales_inversely_with_groups(self, executor):
-        one = executor._compute_time_ns(_kernel(), cores=4, clock_ghz=1.4,
-                                        num_groups=1)
-        six = executor._compute_time_ns(_kernel(), cores=4, clock_ghz=1.4,
-                                        num_groups=6)
+    def test_scales_inversely_with_groups(self, chip):
+        one = kernel_compute_ns(chip, _kernel(), cores=4, clock_ghz=1.4,
+                                num_groups=1)
+        six = kernel_compute_ns(chip, _kernel(), cores=4, clock_ghz=1.4,
+                                num_groups=6)
         assert six == pytest.approx(one / 6)
 
-    def test_zero_flops_is_free(self, executor):
-        assert executor._compute_time_ns(_kernel(flops=0), 4, 1.4) == 0.0
+    def test_zero_flops_is_free(self, chip):
+        assert kernel_compute_ns(chip, _kernel(flops=0), 4, 1.4) == 0.0
 
-    def test_tensorization_utilization_slows(self, executor):
+    def test_tensorization_utilization_slows(self, chip):
         from repro.compiler.tensorize import GemmShape, tensorize_gemm
 
         kernel = _kernel()
         kernel.tensorization = tensorize_gemm(
             GemmShape(m=100, n=3, k=5), DType.FP16, fine_grained=False
         )
-        with_util = executor._compute_time_ns(kernel, 4, 1.4)
+        with_util = kernel_compute_ns(chip, kernel, 4, 1.4)
         kernel.tensorization = None
-        without = executor._compute_time_ns(kernel, 4, 1.4)
+        without = kernel_compute_ns(chip, kernel, 4, 1.4)
         assert with_util > without
 
 
 class TestWireBytes:
-    def test_dense_kernel_unchanged(self, executor):
-        assert executor._wire_bytes(_kernel(), 4 * MB) == 4 * MB
+    def test_dense_kernel_unchanged(self, chip):
+        assert kernel_wire_bytes(chip, _kernel(), 4 * MB) == 4 * MB
 
-    def test_sparse_kernel_compressed(self, executor):
-        wire = executor._wire_bytes(_kernel(sparsity=0.5), 4 * MB)
+    def test_sparse_kernel_compressed(self, chip):
+        wire = kernel_wire_bytes(chip, _kernel(sparsity=0.5), 4 * MB)
         # 50 % kept + 1/16 mask overhead
         assert wire == pytest.approx(4 * MB * (0.5 + 1 / 16), rel=0.01)
 
     def test_feature_off_disables_compression(self):
-        executor = Executor(
-            Accelerator.cloudblazer_i20(FeatureFlags(sparse_dma=False))
-        )
-        assert executor._wire_bytes(_kernel(sparsity=0.9), 4 * MB) == 4 * MB
+        chip = Accelerator.cloudblazer_i20(FeatureFlags(sparse_dma=False)).chip
+        assert kernel_wire_bytes(chip, _kernel(sparsity=0.9), 4 * MB) == 4 * MB
 
-    def test_never_expands(self, executor):
-        barely = executor._wire_bytes(_kernel(sparsity=0.01), 4 * MB)
+    def test_never_expands(self, chip):
+        barely = kernel_wire_bytes(chip, _kernel(sparsity=0.01), 4 * MB)
         assert barely <= 4 * MB
 
     @settings(max_examples=30, deadline=None)
     @given(sparsity=st.floats(0.0, 1.0), nbytes=st.integers(1, 64 * MB))
     def test_property_wire_bytes_bounded(self, sparsity, nbytes):
-        executor = Executor(Accelerator.cloudblazer_i20())
-        wire = executor._wire_bytes(_kernel(sparsity=sparsity), nbytes)
+        chip = Accelerator.cloudblazer_i20().chip
+        wire = kernel_wire_bytes(chip, _kernel(sparsity=sparsity), nbytes)
         assert 0 <= wire <= nbytes
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.accelerator import Accelerator
 from repro.models import build
-from repro.runtime.executor import Executor
+from repro.runtime.executor import Executor, kernel_compute_ns
 from repro.runtime.pipeline import PipelineError, PipelineExecutor, partition_stages
 from repro.runtime.runtime import Device
 
@@ -38,7 +38,7 @@ class TestPartitioning:
         ranges = partition_stages(compiled, executor, 3, 2)
         chip = accelerator.chip
         costs = [
-            executor._compute_time_ns(kernel, chip.cores_per_group, 1.4, 2)
+            kernel_compute_ns(chip, kernel, chip.cores_per_group, 1.4, 2)
             for kernel in compiled.kernels
         ]
         stage_costs = [sum(costs[lo:hi]) for lo, hi in ranges]
