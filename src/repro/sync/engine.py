@@ -138,4 +138,8 @@ class SyncEngine:
     def arrive(self, barrier: Barrier, cross_group: bool = False):
         """Process: arrive at a rendezvous barrier and block for release."""
         yield from self._operate(barrier.name, cross_group)
-        yield barrier.arrive()
+        gate = barrier.arrive()
+        if barrier.parties > 1:
+            # The last of several arrivals still waits its turn: the
+            # parties it releases resume first, in arrival order.
+            yield gate
