@@ -1,6 +1,7 @@
 """Power management: CPME/LPME, power integrity, DVFS energy efficiency."""
 
-from repro.power.cpme import Cpme, PowerIntegrityError
+from repro.power.cpme import Cpme
+from repro.power.errors import BudgetFloorError, PowerIntegrityError
 from repro.power.dvfs import DvfsController, DvfsDecision, Observation, WorkloadKind
 from repro.power.lpme import Lpme, WindowReport
 from repro.power.model import (
@@ -13,7 +14,7 @@ from repro.power.model import (
 )
 
 __all__ = [
-    "Cpme", "DvfsController", "DvfsCurve", "DvfsDecision", "Lpme",
+    "BudgetFloorError", "Cpme", "DvfsController", "DvfsCurve", "DvfsDecision", "Lpme",
     "Observation", "PowerIntegrityError", "UnitPowerModel", "UnitPowerParams",
     "WindowReport", "WorkloadKind", "chip_power_units", "chip_power_watts", "dtu2_power_units",
 ]
