@@ -9,6 +9,22 @@ and the fault-injection layers can extend it without import cycles.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 
 class ReproRuntimeError(RuntimeError):
     """Base class for runtime misuse and RAS errors across the stack."""
+
+
+def reject_non_finite(config) -> None:
+    """Raise :class:`ReproRuntimeError` on any NaN or infinite ``float``
+    field of a config dataclass. NaN slips past every ordered comparison
+    a ``__post_init__`` range check makes, so configs call this first."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ReproRuntimeError(
+                f"{type(config).__name__}: {spec.name} must be finite, "
+                f"got {value}"
+            )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import ReproRuntimeError
+from repro.core.errors import ReproRuntimeError, reject_non_finite
 from repro.obs.metrics import DEFAULT_BUCKETS_MS, HistogramSeries
 
 __all__ = ["Autoscaler", "AutoscalerConfig", "ScaleAction"]
@@ -67,6 +67,7 @@ class AutoscalerConfig:
         def reject(message: str) -> None:
             raise ReproRuntimeError(f"AutoscalerConfig: {message}")
 
+        reject_non_finite(self)
         if self.min_active < 1:
             reject(f"min_active must be >= 1, got {self.min_active}")
         if self.max_active < self.min_active:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.errors import ReproRuntimeError
+from repro.core.errors import ReproRuntimeError, reject_non_finite
 from repro.power.cpme import Cpme
 from repro.power.dvfs import DvfsController, Observation
 from repro.power.model import DvfsCurve, UnitPowerModel, UnitPowerParams
@@ -80,6 +80,7 @@ class PowerCapPhase:
     period_s: float = 0.1
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.end_s <= self.start_s:
             raise ReproRuntimeError(
                 f"PowerCapPhase: end_s {self.end_s} must be after "
@@ -151,6 +152,7 @@ class PowerCapConfig:
         def reject(message: str) -> None:
             raise ReproRuntimeError(f"PowerCapConfig: {message}")
 
+        reject_non_finite(self)
         if self.fleet_budget_watts <= 0:
             reject(f"fleet_budget_watts must be > 0, got {self.fleet_budget_watts}")
         if self.policy not in POWERCAP_POLICIES:

@@ -21,6 +21,16 @@ The fleet always builds a :class:`HeapRouter`; the equivalence tests
 substitute :class:`ReferenceRouter` by patching
 ``repro.serving.fleet.HeapRouter``.
 
+Preference order.  Serving traffic goes through :meth:`FleetRouter.route`,
+which layers the fleet's optional features over ``pick`` as exclusion
+sets: ``parked`` replicas (powered off by the fleet power governor) are
+always excluded, like a failed hedge target; ``suspected`` (silent
+corruption, :mod:`repro.serving.sdc`) and ``avoid`` (power-throttled)
+replicas are soft.  ``route`` tries ``pick`` with the soft set
+``suspected | avoid``, then ``suspected``, then ``avoid``, then nothing,
+skipping tiers whose sets are empty, and returns the first hit — a fleet
+where every replica is suspect or throttled still serves.
+
 Heap layout.  Active replicas live in two heaps anchored to a monotone
 *routing clock* (the last trace arrival the fleet advanced to):
 
@@ -59,7 +69,6 @@ __all__ = [
     "DepthView",
     "FleetRouter",
     "HeapRouter",
-    "PowerAwareRouter",
     "PrunedFinishes",
     "ReferenceRouter",
     "ReplicaStatus",
@@ -85,10 +94,17 @@ class FleetRouter:
     The fleet calls :meth:`rebuild` once per run (after its reset),
     :meth:`advance` once per trace arrival, and :meth:`update` after any
     replica mutation; every query below must return exactly what the
-    reference O(N) scan would.
+    reference O(N) scan would. The fleet sets the three preference sets
+    (replica indexes) :meth:`route` reads.
     """
 
     name = "base"
+    parked: frozenset[int] = frozenset()
+    """Replicas the power budget cannot power: never routed to."""
+    avoid: frozenset[int] = frozenset()
+    """Replicas throttled past the governor's headroom threshold."""
+    suspected: frozenset[int] = frozenset()
+    """Replicas with an open silent-corruption detection."""
 
     def rebuild(self, replicas: list) -> None:
         raise NotImplementedError
@@ -105,12 +121,41 @@ class FleetRouter:
         replica indexes), or ``None`` when no candidate exists."""
         raise NotImplementedError
 
+    def route(self, now: float, excluded=frozenset()):
+        """:meth:`pick` in the fleet's preference order (module docstring):
+        never a parked replica, unsuspected and unthrottled ones first."""
+        hard = excluded | self.parked if self.parked else excluded
+        suspected, avoid = self.suspected, self.avoid
+        if suspected or avoid:
+            if suspected and avoid:
+                tiers = (suspected | avoid, suspected, avoid)
+            else:
+                tiers = (suspected or avoid,)
+            for soft in tiers:
+                choice = self.pick(now, hard | soft)
+                if choice is not None:
+                    return choice
+        return self.pick(now, hard)
+
     def earliest_start(self, now: float) -> float:
-        """``min(max(free_at, now))`` over active replicas (>= 1 active)."""
+        """``min(max(free_at, now))`` over active replicas (>= 1 active).
+        Ignores the preference sets: the admission wait prediction sees
+        the whole active pool."""
         raise NotImplementedError
 
     def active_count(self) -> int:
         raise NotImplementedError
+
+    def routable_count(self) -> int:
+        """Active replicas that are not parked: those that can take
+        traffic at all."""
+        active = self.active_count()
+        if active and self.parked:
+            active -= sum(
+                1 for index in self.parked
+                if self._replicas[index].status is ReplicaStatus.ACTIVE
+            )
+        return active
 
     def standby(self):
         """Lowest-index standby replica, or ``None``."""
@@ -359,77 +404,6 @@ class HeapRouter(FleetRouter):
             heappop(heap)
             return self._replicas[index]
         return None
-
-
-class PowerAwareRouter(FleetRouter):
-    """Power-headroom-aware wrapper over either base router.
-
-    The fleet power governor publishes two index sets after every
-    governor window:
-
-    - ``parked`` — devices the budget cannot power at all.  A **hard**
-      exclusion: parked replicas never take traffic, exactly like an
-      excluded hedge target.
-    - ``avoid`` — powered devices throttled past the configured
-      headroom threshold.  A **soft** penalty on the routing score: the
-      pick first competes only unavoided replicas, and falls back to the
-      full (non-parked) pool when nothing else is available — a heavily
-      capped fleet degrades instead of refusing traffic.
-
-    Everything else — clocks, depth queries, lifecycle heaps — delegates
-    to the wrapped router, so the wrapper preserves the reference/heap
-    byte-identity contract within each preference tier.
-    ``earliest_start`` stays the inner router's answer (the admission
-    wait prediction ignores the soft preference; documented in
-    docs/power.md).
-    """
-
-    name = "power-aware"
-
-    def __init__(self, inner: FleetRouter) -> None:
-        self.inner = inner
-        self.avoid: frozenset[int] = frozenset()
-        self.parked: frozenset[int] = frozenset()
-
-    def set_power_sets(
-        self, avoid: frozenset[int], parked: frozenset[int]
-    ) -> None:
-        self.avoid = avoid
-        self.parked = parked
-
-    def rebuild(self, replicas: list) -> None:
-        self.avoid = frozenset()
-        self.parked = frozenset()
-        self.inner.rebuild(replicas)
-
-    def advance(self, now: float) -> None:
-        self.inner.advance(now)
-
-    def update(self, replica) -> None:
-        self.inner.update(replica)
-
-    def pick(self, now: float, excluded=frozenset()):
-        hard = excluded | self.parked if self.parked else excluded
-        if self.avoid:
-            preferred = self.inner.pick(now, hard | self.avoid)
-            if preferred is not None:
-                return preferred
-        return self.inner.pick(now, hard)
-
-    def earliest_start(self, now: float) -> float:
-        return self.inner.earliest_start(now)
-
-    def active_count(self) -> int:
-        return self.inner.active_count()
-
-    def standby(self):
-        return self.inner.standby()
-
-    def drain_victim(self):
-        return self.inner.drain_victim()
-
-    def due_repair(self, now: float | None = None):
-        return self.inner.due_repair(now)
 
 
 class PrunedFinishes:

@@ -22,10 +22,11 @@ hyperscalers run against silent data corruption (SDC), composed into
   convicts the corrupting side.
 
 Detections feed **containment**: suspected replicas are routed around
-(:class:`SdcAwareRouter`), repeat detections quarantine the replica
-(through the fleet's normal quarantine -> repair -> reintegrate
-lifecycle, where repair probes now include a corruption screen), and
-persistent offenders retire.
+(the soft ``suspected`` tier of
+:meth:`~repro.serving.routing.FleetRouter.route`), repeat detections
+quarantine the replica (through the fleet's normal quarantine -> repair
+-> reintegrate lifecycle, where repair probes now include a corruption
+screen), and persistent offenders retire.
 
 Every stochastic draw comes from dedicated seed-derived streams
 (``sdc:<replica>``, ``screen:<replica>``, ``audit`` — see
@@ -46,12 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.errors import ReproRuntimeError
+from repro.core.errors import ReproRuntimeError, reject_non_finite
 from repro.faults.schedule import FaultSchedule
 from repro.seeding import derive_rng
-from repro.serving.routing import FleetRouter
 
-__all__ = ["SdcAwareRouter", "SdcConfig", "SdcTracker"]
+__all__ = ["SdcConfig", "SdcTracker"]
 
 ABFT_MODES = ("off", "probe", "strict")
 DETECTION_METHODS = ("abft", "audit", "screen")
@@ -92,6 +92,7 @@ class SdcConfig:
         def reject(message: str) -> None:
             raise ReproRuntimeError(f"SdcConfig: {message}")
 
+        reject_non_finite(self)
         if self.abft not in ABFT_MODES:
             reject(f"abft must be one of {ABFT_MODES}, got {self.abft!r}")
         if not 0.0 <= self.probe_coverage <= 1.0:
@@ -365,59 +366,3 @@ class SdcTracker:
             },
         }
 
-
-class SdcAwareRouter(FleetRouter):
-    """Corruption-suspicion-aware wrapper over any fleet router.
-
-    Suspected replicas (>= 1 undisputed detection since their last clean
-    screen) are a **soft** avoidance: the pick first competes the
-    unsuspected pool and falls back to everyone when nothing else is
-    available — a fleet where every replica is suspect still serves
-    (the chaos invariants then count on ABFT to keep results clean).
-    Mirrors :class:`~repro.serving.routing.PowerAwareRouter`, and
-    composes outside it (power hard-exclusions apply first).
-    """
-
-    name = "sdc-aware"
-
-    def __init__(self, inner: FleetRouter) -> None:
-        self.inner = inner
-        self.suspected: frozenset[int] = frozenset()
-
-    def set_suspected(self, suspected: frozenset[int]) -> None:
-        self.suspected = suspected
-
-    def set_power_sets(self, avoid, parked) -> None:
-        self.inner.set_power_sets(avoid, parked)
-
-    def rebuild(self, replicas: list) -> None:
-        self.suspected = frozenset()
-        self.inner.rebuild(replicas)
-
-    def advance(self, now: float) -> None:
-        self.inner.advance(now)
-
-    def update(self, replica) -> None:
-        self.inner.update(replica)
-
-    def pick(self, now: float, excluded=frozenset()):
-        if self.suspected:
-            preferred = self.inner.pick(now, excluded | self.suspected)
-            if preferred is not None:
-                return preferred
-        return self.inner.pick(now, excluded)
-
-    def earliest_start(self, now: float) -> float:
-        return self.inner.earliest_start(now)
-
-    def active_count(self) -> int:
-        return self.inner.active_count()
-
-    def standby(self):
-        return self.inner.standby()
-
-    def drain_victim(self):
-        return self.inner.drain_victim()
-
-    def due_repair(self, now: float | None = None):
-        return self.inner.due_repair(now)

@@ -6,6 +6,9 @@ cache, hedged failover, quarantine/promotion/reintegration, shedding with
 zero capacity, determinism, and the exported fleet metrics.
 """
 
+import math
+from functools import partial
+
 import pytest
 
 import repro.serving.fleet as fleet_module
@@ -23,8 +26,13 @@ from repro.serving import (
     TrafficPattern,
     generate_trace,
 )
+from repro.serving.autoscale import AutoscalerConfig
+from repro.serving.powercap import PowerCapConfig, PowerCapPhase
+from repro.serving.sdc import SdcConfig
 
 SERVICE = {"a": 1.0e6, "b": 5.0e6}
+POWERCAP = partial(PowerCapConfig, fleet_budget_watts=400.0)
+PHASE = partial(PowerCapPhase, start_s=0.1, end_s=0.2, budget_watts=300.0)
 
 
 def _tenants():
@@ -126,6 +134,29 @@ class TestBringUp:
         ):
             with pytest.raises(ReproRuntimeError, match="FleetConfig"):
                 FleetConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (FleetConfig, "repair_ms"),
+            (POWERCAP, "fleet_budget_watts"),
+            (POWERCAP, "window_ms"),
+            (POWERCAP, "device_peak_watts"),
+            (PHASE, "budget_watts"),
+            (AutoscalerConfig, "eval_interval_ms"),
+            (AutoscalerConfig, "cooldown_ms"),
+            (SdcConfig, "abft_overhead"),
+            (SdcConfig, "screen_interval_ms"),
+            (SdcConfig, "screen_cost_ms"),
+        ],
+    )
+    def test_non_finite_config_values_rejected(self, config, field, value):
+        # NaN slips past every `<= 0` check, and an infinite period or
+        # budget is no setting at all: both must fail loudly at
+        # construction, not run as if uncapped or with a NaN horizon.
+        with pytest.raises(ReproRuntimeError, match=f"{field} must be finite"):
+            config(**{field: value})
 
     def test_duplicate_tenants_rejected(self):
         tenants = [_tenants()[0], _tenants()[0]]

@@ -20,7 +20,7 @@ from repro.serving.powercap import (
     PowerCapConfig,
     PowerCapPhase,
 )
-from repro.serving.routing import PowerAwareRouter, ReferenceRouter
+from repro.serving.routing import ReferenceRouter
 from repro.serving.server import TenantConfig
 from repro.serving.workload import TrafficPattern, generate_trace
 
@@ -221,58 +221,74 @@ class TestApportionment:
         assert not tight.can_power_promotion(active_count=2)
 
 
-class TestPowerAwareRouter:
-    def _replicas(self, n=3):
-        return [_FakeReplica(index=i, name=f"r{i}") for i in range(n)]
+class TestPowerPreferences:
+    """The governor's two sets as FleetRouter.route reads them."""
+
+    def _router(self, n):
+        router = ReferenceRouter()
+        router.rebuild([_FakeReplica(index=i, name=f"r{i}") for i in range(n)])
+        return router
 
     def test_soft_avoid_prefers_unthrottled(self):
-        router = PowerAwareRouter(ReferenceRouter())
-        replicas = self._replicas()
-        router.rebuild(replicas)
-        router.set_power_sets(avoid=frozenset({0}), parked=frozenset())
-        assert router.pick(0.0).index == 1
+        router = self._router(3)
+        router.avoid = frozenset({0})
+        assert router.route(0.0).index == 1
 
     def test_soft_avoid_falls_back_when_all_avoided(self):
-        router = PowerAwareRouter(ReferenceRouter())
-        replicas = self._replicas(2)
-        router.rebuild(replicas)
-        router.set_power_sets(avoid=frozenset({0, 1}), parked=frozenset())
-        assert router.pick(0.0) is not None
+        router = self._router(2)
+        router.avoid = frozenset({0, 1})
+        assert router.route(0.0) is not None
 
     def test_parked_is_a_hard_exclusion(self):
-        router = PowerAwareRouter(ReferenceRouter())
-        replicas = self._replicas(2)
-        router.rebuild(replicas)
-        router.set_power_sets(avoid=frozenset(), parked=frozenset({0, 1}))
-        assert router.pick(0.0) is None
-
-    def test_rebuild_clears_power_sets(self):
-        router = PowerAwareRouter(ReferenceRouter())
-        replicas = self._replicas(2)
-        router.rebuild(replicas)
-        router.set_power_sets(avoid=frozenset(), parked=frozenset({0, 1}))
-        router.rebuild(replicas)
-        assert router.pick(0.0) is not None
+        router = self._router(2)
+        router.parked = frozenset({0, 1})
+        assert router.route(0.0) is None
 
 
 TENANTS = [TenantConfig("t", "resnet50", groups=2, max_batch=1)]
 SERVICE_TIMES = {"t": 1.0e6}
 
 
-def _run_fleet(powercap=None, rate=800.0, seed=3):
-    trace = generate_trace(
+def _trace(rate=800.0):
+    return generate_trace(
         [TrafficPattern("t", rate)], duration_s=0.2, seed=11
     )
-    manager = FleetManager(
+
+
+def _manager(powercap=None, seed=3):
+    return FleetManager(
         TENANTS,
         config=FleetConfig(replicas=2, hot_spares=0, seed=seed),
         service_times_ns=dict(SERVICE_TIMES),
         powercap=powercap,
     )
-    return manager.run(trace)
+
+
+def _run_fleet(powercap=None, rate=800.0, seed=3):
+    return _manager(powercap, seed).run(_trace(rate))
 
 
 class TestFleetIntegration:
+    def test_run_clears_stale_power_sets(self):
+        # A run starts from empty preference sets, whatever an earlier
+        # run (or a caller) left on the router.
+        manager = _manager()
+        clean = manager.run(_trace()).to_dict()
+        manager._router.parked = frozenset({0, 1})
+        manager._router.avoid = frozenset({0})
+        assert manager.run(_trace()).to_dict() == clean
+
+    def test_fully_parked_fleet_sheds_for_no_capacity(self):
+        # A budget below one idle floor parks every device: they stay
+        # ACTIVE in the pool, but nothing can serve, so every arrival
+        # sheds as no-capacity rather than failing on dispatch.
+        report = _run_fleet(powercap=PowerCapConfig(fleet_budget_watts=40.0))
+        stats = report.tenants["t"]
+        assert report.final_healthy == 2
+        assert stats.offered > 0
+        assert stats.shed_no_capacity == stats.offered
+        assert stats.failed == 0
+
     def test_detached_report_has_no_power_key(self):
         report = _run_fleet()
         assert report.power is None

@@ -10,6 +10,9 @@ similar routing quality. Three layers of evidence:
   standby, drain_victim, due_repair) returns the same replica;
 - tie-break regressions pin the deterministic orderings the fleet relies
   on (equal load -> lowest index; equal repair due -> lowest index);
+- ``route`` (the parked / suspected / avoid preference order) is checked
+  for both routers against a plain scan over every subset of the three
+  sets and the hedge exclusions on four replicas;
 - a whole-scenario byte-compare replays every quick chaos scenario
   through both implementations (the reference patched in where the fleet
   builds its ``HeapRouter``) and diffs the serialized scenario result —
@@ -20,6 +23,7 @@ similar routing quality. Three layers of evidence:
 ``bisect_right`` depth semantics it replaced.
 """
 
+import itertools
 import json
 import random
 from bisect import bisect_right, insort
@@ -217,6 +221,98 @@ def test_512_replica_churn_matches_reference_byte_for_byte():
 # ---------------------------------------------------------------------------
 # bounded depth tracking
 # ---------------------------------------------------------------------------
+
+
+def _subsets(n):
+    return [
+        frozenset(index for index in range(n) if mask >> index & 1)
+        for mask in range(1 << n)
+    ]
+
+
+def _documented_route(replicas, now, excluded, parked, avoid, suspected):
+    """The tier order FleetRouter.route documents, as a plain scan."""
+    tiers = [
+        soft for soft, present in (
+            (suspected | avoid, suspected and avoid),
+            (suspected, suspected),
+            (avoid, avoid),
+            (frozenset(), True),
+        )
+        if present
+    ]
+    for soft in tiers:
+        allowed = [
+            replica for replica in replicas
+            if replica.status is ReplicaStatus.ACTIVE
+            and replica.index not in excluded | parked | soft
+        ]
+        if allowed:
+            return min(
+                allowed, key=lambda r: (max(r.free_at, now), r.index)
+            ).index
+    return None
+
+
+def test_route_follows_the_documented_tier_order_exhaustively():
+    """Every subset of parked, avoid, suspected and excluded over four
+    replicas: heap route == reference route == the documented order."""
+    replicas, heap, reference = _pair(4)
+    for replica, free_at in zip(replicas, (3.0, 0.0, 2.0, 0.0)):
+        replica.free_at = free_at
+        heap.update(replica)
+    now = 1.0
+    subsets = _subsets(len(replicas))
+    for parked, avoid, suspected in itertools.product(subsets, repeat=3):
+        for router in (heap, reference):
+            router.parked, router.avoid = parked, avoid
+            router.suspected = suspected
+        for excluded in subsets:
+            expected = _documented_route(
+                replicas, now, excluded, parked, avoid, suspected
+            )
+            for router in (heap, reference):
+                choice = router.route(now, excluded)
+                assert (
+                    None if choice is None else choice.index
+                ) == expected, (router.name, parked, avoid, suspected,
+                                excluded)
+
+
+def test_route_issues_one_pick_per_tried_tier():
+    """Route stops at the first tier with a candidate and never repeats
+    a tier, so a traced run counts the picks the tiers imply."""
+    replicas, heap, _ = _pair(3)
+    calls = []
+    pick = heap.pick
+
+    def counting_pick(now, excluded=frozenset()):
+        calls.append(frozenset(excluded))
+        return pick(now, excluded)
+
+    heap.pick = counting_pick
+    heap.suspected = frozenset({0})
+    assert heap.route(0.0).index == 1
+    assert calls == [frozenset({0})]
+    calls.clear()
+    heap.avoid = frozenset({1})
+    heap.parked = frozenset({2})
+    assert heap.route(0.0).index == 1
+    assert calls == [frozenset({0, 1, 2}), frozenset({0, 2})]
+    calls.clear()
+    heap.suspected = heap.avoid = frozenset({0, 1})
+    assert heap.route(0.0).index == 0
+    assert calls == [frozenset({0, 1, 2})] * 3 + [frozenset({2})]
+
+
+def test_routable_count_discounts_parked_active_replicas():
+    replicas, heap, reference = _pair(4, standby=1)
+    for router in (heap, reference):
+        assert router.routable_count() == 3
+        router.parked = frozenset({0, 3})  # r3 is a standby
+        assert router.routable_count() == 2
+        router.parked = frozenset({0, 1, 2})
+        assert router.routable_count() == 0
 
 
 def test_pruned_finishes_matches_bisect_reference():

@@ -23,7 +23,7 @@ from repro.serving import (
     generate_trace,
 )
 from repro.serving.routing import FleetRouter
-from repro.serving.sdc import SdcAwareRouter, SdcConfig, SdcTracker
+from repro.serving.sdc import SdcConfig, SdcTracker
 
 SILENT_STORM = FaultSchedule(
     phases=(
@@ -179,16 +179,12 @@ class TestSdcTrackerLedger:
 
 
 class _StubRouter(FleetRouter):
-    """Deterministic inner router: lowest allowed index wins."""
+    """Deterministic router: lowest allowed index wins."""
 
     name = "stub"
 
     def __init__(self, indexes):
         self.indexes = list(indexes)
-        self.rebuilds = 0
-
-    def rebuild(self, replicas):
-        self.rebuilds += 1
 
     def pick(self, now, excluded=frozenset()):
         for index in self.indexes:
@@ -197,30 +193,32 @@ class _StubRouter(FleetRouter):
         return None
 
 
-class TestSdcAwareRouter:
+class TestSuspicionPreference:
+    """The tracker's suspected set as FleetRouter.route reads it."""
+
     def test_suspected_replicas_are_softly_avoided(self):
-        router = SdcAwareRouter(_StubRouter([0, 1, 2]))
-        assert router.pick(0.0) == 0
-        router.set_suspected(frozenset({0}))
-        assert router.pick(0.0) == 1
+        router = _StubRouter([0, 1, 2])
+        assert router.route(0.0) == 0
+        router.suspected = frozenset({0})
+        assert router.route(0.0) == 1
 
     def test_falls_back_when_everyone_is_suspect(self):
-        router = SdcAwareRouter(_StubRouter([0, 1]))
-        router.set_suspected(frozenset({0, 1}))
-        assert router.pick(0.0) == 0  # still serves
+        router = _StubRouter([0, 1])
+        router.suspected = frozenset({0, 1})
+        assert router.route(0.0) == 0  # still serves
 
     def test_exclusions_compose_with_suspicion(self):
-        router = SdcAwareRouter(_StubRouter([0, 1, 2]))
-        router.set_suspected(frozenset({1}))
-        assert router.pick(0.0, excluded=frozenset({0})) == 2
+        router = _StubRouter([0, 1, 2])
+        router.suspected = frozenset({1})
+        assert router.route(0.0, excluded=frozenset({0})) == 2
 
-    def test_rebuild_resets_suspicion(self):
-        inner = _StubRouter([0, 1])
-        router = SdcAwareRouter(inner)
-        router.set_suspected(frozenset({0}))
-        router.rebuild([])
-        assert router.suspected == frozenset()
-        assert inner.rebuilds == 1
+    def test_run_resets_suspicion(self):
+        # Suspicion left over from an earlier run must not steer the
+        # next one's first dispatches.
+        fleet = _fleet(sdc=DEFENDED, schedule=SILENT_STORM)
+        first = fleet.run(_trace()).to_dict()
+        fleet._router.suspected = frozenset({0})
+        assert fleet.run(_trace()).to_dict() == first
 
 
 class TestFleetIntegration:
