@@ -170,18 +170,19 @@ class CompileCache(_KeyedCache):
 class MeasurementCache(_KeyedCache):
     """Memo for simulator-measured per-request service times.
 
-    Keyed on (model name, group count):
+    Keyed on (model name, group count, device name):
     :func:`repro.serving.server.measure_service_time_ns` always builds a
-    fresh i20 from the model-zoo name, and the simulator is deterministic,
-    so the memoized latency equals what a re-measurement would produce.
+    fresh card of that device from the model-zoo name, and the simulator
+    is deterministic, so the memoized latency equals what a
+    re-measurement would produce.
     The memo is bypassed whenever the measurement carries observable side
     effects (an attached obs hub or fault plan) — those runs must actually
     happen so their spans and fault timelines exist.
     """
 
     @staticmethod
-    def key_for(model: str, groups: int) -> tuple:
-        return (model, int(groups))
+    def key_for(model: str, groups: int, device: str = "i20") -> tuple:
+        return (model, int(groups), device)
 
 
 #: process-wide caches; ``Device.compile`` and ``measure_service_time_ns``

@@ -41,7 +41,7 @@ from repro.serving.admission import AdmissionPolicy, SloClass
 from repro.serving.autoscale import AutoscalerConfig
 from repro.serving.fleet import FleetConfig, FleetManager, FleetReport
 from repro.serving.loadgen import LoadSpec, generate_load
-from repro.serving.powercap import PowerCapConfig, PowerCapPhase
+from repro.serving.powercap import DEVICE_IDLE_WATTS, PowerCapConfig, PowerCapPhase
 from repro.serving.sdc import SdcConfig
 from repro.sim.parallel import run_sharded
 from repro.serving.server import RasConfig, TenantConfig, measure_service_time_ns
@@ -1020,18 +1020,7 @@ def run_scenario(
         ]
         for name in missing:
             service_times[name] = 2.0e6
-    manager = FleetManager(
-        list(scenario.tenants),
-        config=fleet_config,
-        schedule=scenario.schedule,
-        ras=scenario.ras,
-        obs=own_obs,
-        service_times_ns=service_times,
-        admission=scenario.admission,
-        autoscaler=scenario.autoscaler,
-        powercap=scenario.powercap,
-        sdc=scenario.sdc,
-    )
+    manager = _fleet(scenario, fleet_config, service_times, obs=own_obs)
     trace = _scenario_trace(scenario, seed)
     report = manager.run(trace)
     violations: list[str] = []
@@ -1055,6 +1044,34 @@ def run_scenario(
     return ScenarioResult(
         scenario=scenario, report=report, violations=violations, sweep=sweep,
         cap_sweep=cap_sweep, sdc_control=sdc_control,
+    )
+
+
+def _fleet(
+    scenario: ChaosScenario,
+    fleet_config: FleetConfig,
+    service_times: dict[str, float] | None,
+    **overrides,
+) -> FleetManager:
+    """The scenario's whole fleet; ``overrides`` replace single parts.
+
+    The main run and every re-run (overload sweep, cap sweep, SDC
+    control) build through here, so a re-run differs from the main run
+    only in the parts it names — the obs hub, a scaled power cap or the
+    defenses-off SDC config.
+    """
+    parts = {
+        "schedule": scenario.schedule,
+        "ras": scenario.ras,
+        "admission": scenario.admission,
+        "autoscaler": scenario.autoscaler,
+        "powercap": scenario.powercap,
+        "sdc": scenario.sdc,
+        **overrides,
+    }
+    return FleetManager(
+        list(scenario.tenants), config=fleet_config,
+        service_times_ns=service_times, **parts,
     )
 
 
@@ -1103,17 +1120,7 @@ def _overload_sweep(
     fleet without observability so the main run's exported metrics stay
     exactly what the obs-consistency invariants audited.
     """
-    sweep_manager = FleetManager(
-        list(scenario.tenants),
-        config=fleet_config,
-        schedule=scenario.schedule,
-        ras=scenario.ras,
-        service_times_ns=(
-            dict(service_times) if service_times is not None else None
-        ),
-        admission=scenario.admission,
-        autoscaler=scenario.autoscaler,
-    )
+    sweep_manager = _fleet(scenario, fleet_config, service_times)
     rows: list[dict] = []
     previous_rate: float | None = None
     for multiplier in scenario.overload_multipliers:
@@ -1162,16 +1169,8 @@ def _cap_sweep(
     rows: list[dict] = []
     horizons: list[float] = []
     for multiplier in scenario.cap_multipliers:
-        manager = FleetManager(
-            list(scenario.tenants),
-            config=fleet_config,
-            schedule=scenario.schedule,
-            ras=scenario.ras,
-            service_times_ns=(
-                dict(service_times) if service_times is not None else None
-            ),
-            admission=scenario.admission,
-            autoscaler=scenario.autoscaler,
+        manager = _fleet(
+            scenario, fleet_config, service_times,
             powercap=scenario.powercap.scaled(multiplier),
         )
         trace = _scenario_trace(scenario, seed)
@@ -1192,7 +1191,7 @@ def _cap_sweep(
     # Device count is fleet-config-fixed, so the last run's roster works
     # for every row.
     idle_floor_watts = (
-        scenario.powercap.device_idle_watts * len(power["devices"])
+        DEVICE_IDLE_WATTS * len(power["devices"])
         if rows else 0.0
     )
     common_horizon = max(horizons, default=0.0)
@@ -1229,19 +1228,7 @@ def _sdc_control(
     exported metrics stay exactly what the obs-consistency invariants
     audited.
     """
-    manager = FleetManager(
-        list(scenario.tenants),
-        config=fleet_config,
-        schedule=scenario.schedule,
-        ras=scenario.ras,
-        service_times_ns=(
-            dict(service_times) if service_times is not None else None
-        ),
-        admission=scenario.admission,
-        autoscaler=scenario.autoscaler,
-        powercap=scenario.powercap,
-        sdc=SdcConfig(),
-    )
+    manager = _fleet(scenario, fleet_config, service_times, sdc=SdcConfig())
     trace = _scenario_trace(scenario, seed)
     report = manager.run(trace)
     control = report.sdc
@@ -1311,14 +1298,14 @@ def run_suite(
     if measured:
         # Warm the measurement memo once in the parent; otherwise every
         # shard re-measures the same tenant models from scratch.
-        for model, groups in sorted(
+        for device, model, groups in sorted(
             {
-                (tenant.model, tenant.groups)
+                (SCENARIOS[name].fleet.device, tenant.model, tenant.groups)
                 for name in selected
                 for tenant in SCENARIOS[name].tenants
             }
         ):
-            measure_service_time_ns(model, groups)
+            measure_service_time_ns(model, groups, device=device)
     suite = SuiteResult(seed=seed)
     suite.results = run_sharded(
         _run_scenario_task,

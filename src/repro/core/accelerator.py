@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import ChipConfig, FeatureFlags, dtu1_config, dtu2_config
+from repro.core.errors import ReproRuntimeError
 from repro.core.processing_group import ProcessingGroup, build_group
 from repro.core.resource import GroupId, ResourceManager
 from repro.memory.hierarchy import MemoryLevel
@@ -80,6 +81,15 @@ class Accelerator:
     def cloudblazer_i10(cls) -> "Accelerator":
         """The predecessor: DTU 1.0 on a Cloudblazer i10 card."""
         return cls(chip=dtu1_config())
+
+    @classmethod
+    def by_name(cls, name: str) -> "Accelerator":
+        """A fresh card by product name (``"i20"`` or ``"i10"``)."""
+        if name == "i20":
+            return cls.cloudblazer_i20()
+        if name == "i10":
+            return cls.cloudblazer_i10()
+        raise ReproRuntimeError(f"unknown device {name!r}")
 
     # -- fault injection ------------------------------------------------------
 

@@ -59,12 +59,7 @@ class Device:
         hub: every launch then reports spans (runtime/sim/fault/power
         layers) and metrics into it. Without one, telemetry costs nothing.
         """
-        if name == "i20":
-            accelerator = Accelerator.cloudblazer_i20()
-        elif name == "i10":
-            accelerator = Accelerator.cloudblazer_i10()
-        else:
-            raise ReproRuntimeError(f"unknown device {name!r}")
+        accelerator = Accelerator.by_name(name)
         if obs is not None:
             accelerator.attach_observability(obs)
         if device_id is None:

@@ -87,6 +87,10 @@ DEFAULT_SLO_CLASSES = (
     SloClass("batch", deadline_ms=None, queue_limit=256, shed_priority=2),
 )
 
+#: Class assumed for requests whose ``slo_class`` is unknown — keeps
+#: legacy traces (all ``standard``) flowing through unchanged.
+DEFAULT_CLASS = "standard"
+
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -108,9 +112,6 @@ class AdmissionPolicy:
     """Backpressure at/above which the brownout level steps up."""
     brownout_exit: float = 0.5
     """Backpressure at/below which the brownout level steps down."""
-    default_class: str = "standard"
-    """Class assumed for requests whose ``slo_class`` is unknown — keeps
-    legacy traces (all ``standard``) flowing through unchanged."""
 
     def __post_init__(self) -> None:
         if not self.classes:
@@ -126,9 +127,9 @@ class AdmissionPolicy:
                 f"<= 1, got exit={self.brownout_exit} "
                 f"enter={self.brownout_enter}"
             )
-        if self.default_class not in names:
+        if DEFAULT_CLASS not in names:
             raise ReproRuntimeError(
-                f"AdmissionPolicy: default_class {self.default_class!r} "
+                f"AdmissionPolicy: default class {DEFAULT_CLASS!r} "
                 f"not among classes {names}"
             )
 
@@ -137,7 +138,7 @@ class AdmissionPolicy:
         for cls in self.classes:
             if cls.name == name:
                 return cls
-        return self.class_for(self.default_class)
+        return self.class_for(DEFAULT_CLASS)
 
     @property
     def class_names(self) -> tuple[str, ...]:
@@ -158,10 +159,7 @@ class AdmissionController:
 
     def __init__(self, policy: AdmissionPolicy) -> None:
         self.policy = policy
-        self.brownout_level = 0
-        self.peak_backpressure = 0.0
-        self.max_level_seen = 0
-        self.level_changes = 0
+        self.reset()
         # Classes sorted by descending shed priority: level L sheds the
         # first L entries of this list (priority-0 classes excluded).
         self._shed_order = tuple(

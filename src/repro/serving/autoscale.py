@@ -33,6 +33,10 @@ from repro.obs.metrics import DEFAULT_BUCKETS_MS, HistogramSeries
 
 __all__ = ["Autoscaler", "AutoscalerConfig", "ScaleAction"]
 
+#: Scale-down needs every targeted class p99 under this fraction of its
+#: target.
+SCALE_DOWN_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -54,14 +58,10 @@ class AutoscalerConfig:
     """Queue-depth signal at/above which the loop votes scale-up."""
     backpressure_low: float = 0.25
     """Queue-depth signal the loop requires for a scale-down vote."""
-    scale_down_fraction: float = 0.5
-    """Scale-down needs every targeted class p99 under fraction*target."""
     cooldown_ms: float = 75.0
     """Dead time after any action before the next may fire."""
     scale_down_consecutive: int = 3
     """Quiet windows in a row required before draining a replica."""
-    buckets_ms: tuple[float, ...] = DEFAULT_BUCKETS_MS
-    """Histogram buckets the per-window p99 is interpolated from."""
 
     def __post_init__(self) -> None:
         def reject(message: str) -> None:
@@ -82,11 +82,6 @@ class AutoscalerConfig:
             reject(
                 f"need 0 <= backpressure_low < backpressure_high <= 1, got "
                 f"low={self.backpressure_low} high={self.backpressure_high}"
-            )
-        if not 0.0 < self.scale_down_fraction < 1.0:
-            reject(
-                f"scale_down_fraction must be in (0, 1), "
-                f"got {self.scale_down_fraction}"
             )
         if self.scale_down_consecutive < 1:
             reject(
@@ -119,10 +114,13 @@ class _Window:
 
     series: dict[str, HistogramSeries] = field(default_factory=dict)
 
-    def observe(self, slo_class: str, latency_ms: float, buckets) -> None:
+    def observe(self, slo_class: str, latency_ms: float) -> None:
         series = self.series.get(slo_class)
         if series is None:
-            series = self.series[slo_class] = HistogramSeries(buckets)
+            # The per-window p99 interpolates from the default buckets.
+            series = self.series[slo_class] = HistogramSeries(
+                DEFAULT_BUCKETS_MS
+            )
         series.observe(latency_ms)
 
     def p99(self, slo_class: str) -> float | None:
@@ -142,17 +140,13 @@ class Autoscaler:
 
     def __init__(self, config: AutoscalerConfig | None = None) -> None:
         self.config = config or AutoscalerConfig()
-        self.actions: list[ScaleAction] = []
-        self._window = _Window()
-        self._last_action_ns: float | None = None
-        self._quiet_streak = 0
-        self.power_blocked_ups = 0
+        self.reset()
 
     def reset(self) -> None:
         """Pristine state so repeated runs replay bit-identically."""
-        self.actions = []
+        self.actions: list[ScaleAction] = []
         self._window = _Window()
-        self._last_action_ns = None
+        self._last_action_ns: float | None = None
         self._quiet_streak = 0
         self.power_blocked_ups = 0
 
@@ -160,7 +154,7 @@ class Autoscaler:
 
     def observe(self, slo_class: str, latency_ms: float) -> None:
         """Record one served request's latency into the current window."""
-        self._window.observe(slo_class, latency_ms, self.config.buckets_ms)
+        self._window.observe(slo_class, latency_ms)
 
     # -- the control decision ----------------------------------------------
 
@@ -204,7 +198,7 @@ class Autoscaler:
                 continue
             if p99 > target:
                 overloaded_classes.append((name, p99, target))
-            if p99 > cfg.scale_down_fraction * target:
+            if p99 > SCALE_DOWN_FRACTION * target:
                 quiet = False
         overloaded = bool(overloaded_classes) or (
             backpressure >= cfg.backpressure_high

@@ -70,6 +70,11 @@ __all__ = [
     "ReplicaStatus",
 ]
 
+#: Failed repair probes before a quarantined replica is retired.
+MAX_REPAIR_ATTEMPTS = 4
+#: Re-dispatches of one request after fatal outcomes before it fails.
+MAX_HEDGES = 2
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -88,10 +93,6 @@ class FleetConfig:
     repair_ms: float = 25.0
     """Sim-time dwell between quarantine (or a failed probe) and the
     next repair probe."""
-    max_repair_attempts: int = 4
-    """Failed probes before a quarantined replica is retired."""
-    max_hedges: int = 2
-    """Re-dispatches of one request after fatal outcomes before it fails."""
     validate_on_open: bool = True
     """Run one real launch per replica at bring-up to prove the board
     (which opens every replica's card at bring-up, in index order)."""
@@ -117,13 +118,6 @@ class FleetConfig:
             )
         if self.repair_ms <= 0:
             reject(f"repair_ms must be > 0, got {self.repair_ms}")
-        if self.max_repair_attempts < 1:
-            reject(
-                f"max_repair_attempts must be >= 1, "
-                f"got {self.max_repair_attempts}"
-            )
-        if self.max_hedges < 0:
-            reject(f"max_hedges must be >= 0, got {self.max_hedges}")
         if self.screen_vectors < 1:
             reject(f"screen_vectors must be >= 1, got {self.screen_vectors}")
 
@@ -395,15 +389,6 @@ class FleetManager:
             from repro.serving.autoscale import Autoscaler
 
             self._autoscaler = Autoscaler(autoscaler)
-        # The fleet power governor (PowerCapConfig) caps the rack budget
-        # and dilates per-replica service under cap. Optional: without it
-        # no power state exists and every path below is bit-identical to
-        # an ungoverned build.
-        self._governor = None
-        if powercap is not None:
-            from repro.serving.powercap import FleetPowerGovernor
-
-            self._governor = FleetPowerGovernor(powercap)
         # Silent-data-corruption defense (SdcConfig): ABFT result
         # checking, golden-vector screens, dual-execution audits and
         # corruption-aware containment. Optional; with no config the
@@ -414,7 +399,7 @@ class FleetManager:
         for tenant in tenants:
             if tenant.name not in self.service_times_ns:
                 self.service_times_ns[tenant.name] = measure_service_time_ns(
-                    tenant.model, tenant.groups
+                    tenant.model, tenant.groups, device=self.config.device
                 )
         # Replica selection: the O(log N) heaps, pinned to the O(N)
         # ReferenceRouter scans by tests/serving/test_routing.py. The
@@ -425,6 +410,19 @@ class FleetManager:
         self._group_next: list[int] = []
         self._bringup_events: list[LifecycleEvent] = []
         self._replicas = self._open_fleet(tenants)
+        # The fleet power governor (PowerCapConfig) caps the rack budget
+        # and dilates per-replica service under cap, inside the DVFS
+        # envelope and TDP of the fleet's chip (read from r0's card,
+        # which _open_fleet always opens). Optional: without it no power
+        # state exists and every path below is bit-identical to an
+        # ungoverned build.
+        self._governor = None
+        if powercap is not None:
+            from repro.serving.powercap import FleetPowerGovernor
+
+            self._governor = FleetPowerGovernor(
+                powercap, self._replicas[0].device.accelerator.chip
+            )
 
     # -- bring-up ------------------------------------------------------------
 
@@ -892,7 +890,7 @@ class FleetManager:
         Returns ``(finish_ns, status, hedges)``. A fatal outcome marks the
         replica (possibly quarantining it), then the batch re-dispatches
         to the next least-loaded healthy replica at the failure time —
-        up to ``max_hedges`` times before the batch is declared failed.
+        up to ``MAX_HEDGES`` times before the batch is declared failed.
         ``members`` is usually one request; continuous batching passes
         the coalesced group, which lives and dies together.
         """
@@ -948,7 +946,7 @@ class FleetManager:
                     events, counters,
                 )
             excluded.add(replica.index)
-            if hedges >= self.config.max_hedges:
+            if hedges >= MAX_HEDGES:
                 return finish, "failed", hedges
             dispatch_ns = finish
 
@@ -986,10 +984,6 @@ class FleetManager:
         # when uncapped).
         service = service * replica.power_dilation
         tracker = self._sdc
-        if tracker is not None:
-            # Result checking costs compute: the checked path's measured
-            # slowdown (serving.sdc_overhead bench) stretches service.
-            service = service * tracker.service_multiplier()
         events_per_attempt = self.ras.transfers_per_request * batch
         now = start
         retries = 0
@@ -1304,7 +1298,7 @@ class FleetManager:
         events.append(
             LifecycleEvent(due, replica.name, "repair_failed", detail)
         )
-        if replica.repair_attempts >= cfg.max_repair_attempts:
+        if replica.repair_attempts >= MAX_REPAIR_ATTEMPTS:
             replica.status = ReplicaStatus.RETIRED
             replica.repair_due_ns = None
             events.append(

@@ -42,8 +42,9 @@ accounting convention.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.core.config import ChipConfig
 from repro.core.errors import ReproRuntimeError, reject_non_finite
 from repro.power.cpme import Cpme
 from repro.power.dvfs import DvfsController, Observation
@@ -114,9 +115,32 @@ class PowerCapPhase:
         return self.budget_watts if phase_index % 2 == 0 else base_watts
 
 
+#: Governor re-apportionment window on the trace timeline.
+WINDOW_MS = 5.0
+#: Static floor of one powered device (modelled chip static power).
+DEVICE_IDLE_WATTS = 45.0
+#: Routing avoids replicas throttled beyond this (power-headroom score);
+#: soft — avoided replicas still serve when nothing else can.
+ROUTE_AVOID_THROTTLE = 0.35
+#: Sustained mean throttle >= ``BROWNOUT_THROTTLE`` for
+#: ``BROWNOUT_WINDOWS`` consecutive windows feeds full backpressure into
+#: admission.
+BROWNOUT_THROTTLE = 0.5
+BROWNOUT_WINDOWS = 2
+#: Autoscaler feasibility: a promotion needs headroom for this fraction
+#: of every active device's dynamic range.
+MIN_VIABLE_FRACTION = 0.25
+#: Stall-throttle ceiling; beyond it a device parks instead.
+MAX_STALL = 0.95
+
+
 @dataclass(frozen=True)
 class PowerCapConfig:
-    """Typed knobs of one :class:`FleetPowerGovernor`."""
+    """Typed knobs of one :class:`FleetPowerGovernor`.
+
+    The DVFS envelope and the full-activity draw are the fleet chip's
+    (``base_clock_ghz``..``max_clock_ghz`` and ``tdp_watts``), not knobs.
+    """
 
     fleet_budget_watts: float
     """Base rack/datacenter budget the governor apportions."""
@@ -124,29 +148,8 @@ class PowerCapConfig:
     """Apportionment: ``proportional`` (to observed draw above idle),
     ``priority`` (device index order, first-come-first-capped) or
     ``fair-share`` (equal surplus split)."""
-    window_ms: float = 5.0
-    """Governor re-apportionment window on the trace timeline."""
     phases: tuple[PowerCapPhase, ...] = ()
     """Scheduled budget cuts; the latest active phase wins."""
-    device_idle_watts: float = 45.0
-    """Static floor of one powered device (modelled chip static power)."""
-    device_peak_watts: float = 150.0
-    """Full-activity draw of one device at f_max (i20 TDP by default)."""
-    f_min_ghz: float = 1.0
-    f_max_ghz: float = 1.4
-    """DVFS envelope the forced step moves inside (paper §IV-F2)."""
-    route_avoid_throttle: float = 0.35
-    """Routing avoids replicas throttled beyond this (power-headroom
-    score); soft — avoided replicas still serve when nothing else can."""
-    brownout_throttle: float = 0.5
-    brownout_windows: int = 2
-    """Sustained mean throttle >= ``brownout_throttle`` for this many
-    consecutive windows feeds full backpressure into admission."""
-    min_viable_fraction: float = 0.25
-    """Autoscaler feasibility: a promotion needs headroom for this
-    fraction of every active device's dynamic range."""
-    max_stall: float = 0.95
-    """Stall-throttle ceiling; beyond it a device parks instead."""
 
     def __post_init__(self) -> None:
         def reject(message: str) -> None:
@@ -160,34 +163,6 @@ class PowerCapConfig:
                 f"unknown policy {self.policy!r} "
                 f"(expected one of {POWERCAP_POLICIES})"
             )
-        if self.window_ms <= 0:
-            reject(f"window_ms must be > 0, got {self.window_ms}")
-        if not 0 < self.device_idle_watts < self.device_peak_watts:
-            reject(
-                f"need 0 < idle {self.device_idle_watts} < peak "
-                f"{self.device_peak_watts}"
-            )
-        if not 0 < self.f_min_ghz <= self.f_max_ghz:
-            reject(
-                f"bad DVFS envelope [{self.f_min_ghz}, {self.f_max_ghz}]"
-            )
-        if not 0 < self.route_avoid_throttle <= 1:
-            reject(
-                f"route_avoid_throttle {self.route_avoid_throttle} "
-                f"outside (0, 1]"
-            )
-        if not 0 < self.brownout_throttle <= 1:
-            reject(
-                f"brownout_throttle {self.brownout_throttle} outside (0, 1]"
-            )
-        if self.brownout_windows < 1:
-            reject(f"brownout_windows must be >= 1, got {self.brownout_windows}")
-        if not 0 < self.min_viable_fraction <= 1:
-            reject(
-                f"min_viable_fraction {self.min_viable_fraction} outside (0, 1]"
-            )
-        if not 0 < self.max_stall < 1:
-            reject(f"max_stall {self.max_stall} outside (0, 1)")
 
     def budget_at(self, t_ns: float) -> float:
         """Fleet budget in force at ``t_ns`` (latest active phase wins)."""
@@ -201,25 +176,13 @@ class PowerCapConfig:
     def scaled(self, multiplier: float) -> "PowerCapConfig":
         """A copy with every budget (base + phases) scaled — the
         cap-monotonicity sweep tightens the whole storm at once."""
-        phases = tuple(
-            PowerCapPhase(
-                start_s=phase.start_s, end_s=phase.end_s,
-                budget_watts=phase.budget_watts * multiplier,
-                shape=phase.shape, period_s=phase.period_s,
-            )
-            for phase in self.phases
-        )
-        return PowerCapConfig(
+        return replace(
+            self,
             fleet_budget_watts=self.fleet_budget_watts * multiplier,
-            policy=self.policy, window_ms=self.window_ms, phases=phases,
-            device_idle_watts=self.device_idle_watts,
-            device_peak_watts=self.device_peak_watts,
-            f_min_ghz=self.f_min_ghz, f_max_ghz=self.f_max_ghz,
-            route_avoid_throttle=self.route_avoid_throttle,
-            brownout_throttle=self.brownout_throttle,
-            brownout_windows=self.brownout_windows,
-            min_viable_fraction=self.min_viable_fraction,
-            max_stall=self.max_stall,
+            phases=tuple(
+                replace(phase, budget_watts=phase.budget_watts * multiplier)
+                for phase in self.phases
+            ),
         )
 
 
@@ -260,52 +223,47 @@ class FleetPowerGovernor:
     back per-device dilations and routing exclusions. It never touches
     the fleet's RNG streams — a governed run is exactly as deterministic
     as an ungoverned one.
+
+    ``chip`` is the fleet's chip: every device moves inside its DVFS
+    envelope (``base_clock_ghz``..``max_clock_ghz``, paper §IV-F2) and
+    draws ``tdp_watts`` at full activity and full clock.
     """
 
-    def __init__(self, config: PowerCapConfig) -> None:
+    def __init__(self, config: PowerCapConfig, chip: ChipConfig) -> None:
         self.config = config
-        self.window_ns = config.window_ms * 1e6
-        self._devices: list[_DeviceState] = []
-        self._curve = DvfsCurve(config.f_min_ghz, config.f_max_ghz)
+        self.window_ns = WINDOW_MS * 1e6
+        self._peak_watts = chip.tdp_watts
+        f_min, f_max = chip.base_clock_ghz, chip.max_clock_ghz
+        self._curve = DvfsCurve(f_min, f_max)
         # Envelope frequencies, highest first, for the forced-step search.
-        steps = int(round((config.f_max_ghz - config.f_min_ghz) / 0.1))
+        steps = int(round((f_max - f_min) / 0.1))
         self._envelope = [
-            self._curve.clamp(config.f_max_ghz - 0.1 * k)
-            for k in range(steps + 1)
+            self._curve.clamp(f_max - 0.1 * k) for k in range(steps + 1)
         ]
-        self.windows = 0
-        self.reapportions = 0
-        self.budget_min_watts = config.fleet_budget_watts
-        self.peak_draw_watts = 0.0
-        self.peak_throttle = 0.0
-        self.throttle_ratio = 0.0
-        self._throttle_ratio_sum = 0.0
-        self._draw_time_sum = 0.0
-        self._high_throttle_streak = 0
-        self.brownout_pressure_windows = 0
-        self.power_blocked_scaleups = 0
-        self.window_rows: list[dict] = []
+        # No devices until the fleet resets the governor with its replicas.
+        self.reset([])
 
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, replicas) -> None:
         """Rebuild pristine per-device machinery for one fleet run."""
         cfg = self.config
-        self._devices = []
+        peak = self._peak_watts
+        self._devices: list[_DeviceState] = []
         for replica in replicas:
             params = UnitPowerParams(
                 name=replica.name,
-                static_watts=cfg.device_idle_watts,
-                dynamic_watts_peak=cfg.device_peak_watts - cfg.device_idle_watts,
+                static_watts=DEVICE_IDLE_WATTS,
+                dynamic_watts_peak=peak - DEVICE_IDLE_WATTS,
             )
             unit = UnitPowerModel(params, self._curve)
-            cpme = Cpme(power_limit_watts=cfg.device_peak_watts)
+            cpme = Cpme(power_limit_watts=peak)
             cpme.register_units({"chip": unit})
             dvfs = DvfsController(curve=self._curve, hysteresis_windows=2)
             self._devices.append(
                 _DeviceState(
                     index=replica.index, name=replica.name, unit=unit,
-                    cpme=cpme, dvfs=dvfs, cap_watts=cfg.device_peak_watts,
+                    cpme=cpme, dvfs=dvfs, cap_watts=peak,
                 )
             )
         self.windows = 0
@@ -319,7 +277,7 @@ class FleetPowerGovernor:
         self._high_throttle_streak = 0
         self.brownout_pressure_windows = 0
         self.power_blocked_scaleups = 0
-        self.window_rows = []
+        self.window_rows: list[dict] = []
         # Boot apportionment: caps in force before the first window closes.
         self._apportion(
             cfg.budget_at(0.0),
@@ -342,7 +300,6 @@ class FleetPowerGovernor:
         force (the LPME holds its unit at budget within a window), then
         the budget at ``end_ns`` is redistributed from that observed draw.
         """
-        cfg = self.config
         window_ns = self.window_ns
         start_ns = end_ns - window_ns
         span_s = window_ns / 1e9
@@ -387,7 +344,7 @@ class FleetPowerGovernor:
             draw_total += draw
             state.energy_joules += draw * span_s
             state.draw_sum_watts += draw
-        budget = cfg.budget_at(end_ns)
+        budget = self.config.budget_at(end_ns)
         parked = self._apportion(budget, statuses, demands)
         throttle_values = [
             state.throttle
@@ -405,11 +362,11 @@ class FleetPowerGovernor:
         self.budget_min_watts = min(self.budget_min_watts, budget)
         self.peak_draw_watts = max(self.peak_draw_watts, draw_total)
         self.peak_throttle = max(self.peak_throttle, throttle_ratio)
-        if throttle_ratio >= cfg.brownout_throttle:
+        if throttle_ratio >= BROWNOUT_THROTTLE:
             self._high_throttle_streak += 1
         else:
             self._high_throttle_streak = 0
-        if self._high_throttle_streak >= cfg.brownout_windows:
+        if self._high_throttle_streak >= BROWNOUT_WINDOWS:
             self.brownout_pressure_windows += 1
         for state in self._devices:
             state.cap_sum_watts += 0.0 if state.parked else state.cap_watts
@@ -445,9 +402,8 @@ class FleetPowerGovernor:
         floors cannot cover are parked — standbys first, then
         quarantined boards, then the highest-index actives.
         """
-        cfg = self.config
-        idle = cfg.device_idle_watts
-        peak = cfg.device_peak_watts
+        idle = DEVICE_IDLE_WATTS
+        peak = self._peak_watts
         powered = [
             state for state, status in zip(self._devices, statuses)
             if status is not ReplicaStatus.RETIRED
@@ -530,17 +486,15 @@ class FleetPowerGovernor:
 
     def _actuate(self, state: _DeviceState, status) -> None:
         """Turn one device's cap into a DVFS step + stall throttle."""
-        cfg = self.config
         cap = state.cap_watts
         unit = state.unit
-        f_cap = cfg.f_min_ghz
+        f_max = self._curve.f_max_ghz
+        f_cap = self._curve.f_min_ghz
         for f_ghz in self._envelope:
             if unit.power_watts(1.0, f_ghz) <= cap + 1e-12:
                 f_cap = f_ghz
                 break
-        state.dvfs.set_cap(
-            None if f_cap >= cfg.f_max_ghz - 1e-12 else f_cap
-        )
+        state.dvfs.set_cap(None if f_cap >= f_max - 1e-12 else f_cap)
         if status is not ReplicaStatus.ACTIVE:
             # Non-serving boards idle at their floor; no dilation needed.
             state.stall = 0.0
@@ -559,9 +513,9 @@ class FleetPowerGovernor:
             static = unit.params.static_watts
             dynamic = projected - static
             allowed = max(0.0, cap - static)
-            stall = min(cfg.max_stall, 1.0 - allowed / dynamic)
+            stall = min(MAX_STALL, 1.0 - allowed / dynamic)
         state.stall = stall
-        state.dilation = (cfg.f_max_ghz / f_next) / (1.0 - stall)
+        state.dilation = (f_max / f_next) / (1.0 - stall)
 
     # -- signals the fleet composes with -----------------------------------
 
@@ -578,32 +532,29 @@ class FleetPowerGovernor:
 
     def avoid_indices(self) -> frozenset[int]:
         """Replicas the router should steer around (low power headroom)."""
-        threshold = self.config.route_avoid_throttle
         return frozenset(
             state.index for state in self._devices
-            if not state.parked and state.throttle > threshold
+            if not state.parked and state.throttle > ROUTE_AVOID_THROTTLE
         )
 
     def power_pressure(self) -> float:
         """Backpressure the admission layer folds in (brownout driver)."""
-        cfg = self.config
-        if self._high_throttle_streak >= cfg.brownout_windows:
-            return min(1.0, self.throttle_ratio / cfg.brownout_throttle)
+        if self._high_throttle_streak >= BROWNOUT_WINDOWS:
+            return min(1.0, self.throttle_ratio / BROWNOUT_THROTTLE)
         return 0.0
 
     def can_power_promotion(self, active_count: int) -> bool:
         """Autoscaler feasibility: is there budget for one more active?"""
-        cfg = self.config
         budget = (
             self.window_rows[-1]["budget_watts"]
-            if self.window_rows else cfg.budget_at(0.0)
+            if self.window_rows else self.config.budget_at(0.0)
         )
         powered = sum(1 for state in self._devices if not state.parked)
-        headroom = budget - cfg.device_idle_watts * powered
+        headroom = budget - DEVICE_IDLE_WATTS * powered
         needed = (
             (active_count + 1)
-            * cfg.min_viable_fraction
-            * (cfg.device_peak_watts - cfg.device_idle_watts)
+            * MIN_VIABLE_FRACTION
+            * (self._peak_watts - DEVICE_IDLE_WATTS)
         )
         return headroom >= needed
 
@@ -628,7 +579,7 @@ class FleetPowerGovernor:
         return {
             "policy": cfg.policy,
             "budget_watts": cfg.fleet_budget_watts,
-            "window_ms": cfg.window_ms,
+            "window_ms": WINDOW_MS,
             "windows": self.windows,
             "reapportions": self.reapportions,
             "energy_joules": energy,

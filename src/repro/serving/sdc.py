@@ -68,10 +68,6 @@ class SdcConfig:
     checksums, catches every modelled corruption)."""
     probe_coverage: float = 0.95
     """Probability probe-mode ABFT catches one corrupted result."""
-    abft_overhead: float = 1.0
-    """Service-time multiplier the checked path costs (>= 1). Calibrate
-    from the ``serving.sdc_overhead`` bench row; 1.0 models checksum
-    work hidden under the memory-bound phases."""
     screen_interval_ms: float | None = None
     """Golden-vector screen cadence over idle replicas (None = no
     screener)."""
@@ -97,8 +93,6 @@ class SdcConfig:
             reject(f"abft must be one of {ABFT_MODES}, got {self.abft!r}")
         if not 0.0 <= self.probe_coverage <= 1.0:
             reject(f"probe_coverage must be in [0, 1], got {self.probe_coverage}")
-        if self.abft_overhead < 1.0:
-            reject(f"abft_overhead must be >= 1, got {self.abft_overhead}")
         if self.screen_interval_ms is not None and self.screen_interval_ms <= 0:
             reject(
                 f"screen_interval_ms must be > 0, got {self.screen_interval_ms}"
@@ -323,10 +317,6 @@ class SdcTracker:
 
     def suspected_frozen(self) -> frozenset[int]:
         return frozenset(self._suspected)
-
-    def service_multiplier(self) -> float:
-        """Service-time stretch of the attached result-checking mode."""
-        return self.config.abft_overhead if self.config.checking else 1.0
 
     # -- reporting ------------------------------------------------------------
 

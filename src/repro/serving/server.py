@@ -435,8 +435,12 @@ def measure_service_time_ns(
     groups: int,
     obs=None,
     fault_plan: FaultPlan | None = None,
+    device: str = "i20",
 ) -> float:
     """One detailed-simulator run: the per-inference service time.
+
+    ``device`` is the product name of the card measured on (as
+    ``Device.open`` takes it), so an i10 fleet serves at i10 speed.
 
     With an :class:`~repro.obs.Observability` hub the measurement opens a
     serving-layer ``measure:<model>x<groups>`` span whose TraceContext the
@@ -448,17 +452,18 @@ def measure_service_time_ns(
 
     Plain measurements (no hub, no fault plan) are memoized process-wide
     in :data:`repro.caching.MEASUREMENT_CACHE` — the simulator is
-    deterministic, so re-measuring (model, groups) always reproduces the
-    cached latency. Measurements with a hub or fault plan attached bypass
-    the memo: their spans and fault timelines are the point of running
-    them.
+    deterministic, so re-measuring (model, groups, device) always
+    reproduces the cached latency. Measurements with a hub or fault plan
+    attached bypass the memo: their spans and fault timelines are the
+    point of running them.
     """
     memoizable = obs is None and fault_plan is None
     if memoizable:
-        cached = MEASUREMENT_CACHE.get(MeasurementCache.key_for(model, groups))
+        key = MeasurementCache.key_for(model, groups, device)
+        cached = MEASUREMENT_CACHE.get(key)
         if cached is not None:
             return cached
-    accelerator = Accelerator.cloudblazer_i20()
+    accelerator = Accelerator.by_name(device)
     if obs is not None:
         accelerator.attach_observability(obs)
     if fault_plan is not None:
@@ -482,9 +487,7 @@ def measure_service_time_ns(
     if measure_handle is not None:
         measure_handle.end(accelerator.sim.now, latency_ms=result.latency_ms)
     if memoizable:
-        MEASUREMENT_CACHE.put(
-            MeasurementCache.key_for(model, groups), result.latency_ns
-        )
+        MEASUREMENT_CACHE.put(key, result.latency_ns)
     return result.latency_ns
 
 

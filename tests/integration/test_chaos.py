@@ -26,6 +26,7 @@ from repro.chaos import (
 )
 from repro.cli import main
 from repro.serving.fleet import FleetTenantStats, LifecycleEvent
+from repro.serving.powercap import PowerCapConfig
 
 
 def _invariant(name):
@@ -346,6 +347,41 @@ class TestEndToEndCorrectnessCheck:
             result.scenario, report, None
         )
         assert violations
+
+
+class TestRerunsKeepTheScenarioFleet:
+    """A sweep re-run differs from the main run only in what it varies.
+
+    At 1.0x a sweep row re-runs the main run, so it must report the
+    main run's numbers: a re-run that dropped the scenario's power cap
+    or SDC defense would not.
+    """
+
+    def test_overload_sweep_keeps_the_power_cap(self):
+        scenario = dataclasses.replace(
+            SCENARIOS["overload-storm"],
+            powercap=PowerCapConfig(fleet_budget_watts=400.0),
+            overload_multipliers=(1.0,),
+        )
+        result = run_scenario(scenario, seed=0)
+        tenants = result.report.tenants.values()
+        assert result.sweep[0]["offered"] == sum(s.offered for s in tenants)
+        assert result.sweep[0]["shed"] == sum(s.shed for s in tenants)
+
+    def test_cap_sweep_keeps_the_sdc_defense(self):
+        scenario = dataclasses.replace(
+            SCENARIOS["silent-corruption-storm"],
+            powercap=PowerCapConfig(fleet_budget_watts=240.0),
+            cap_multipliers=(1.0,),
+        )
+        result = run_scenario(scenario, seed=0)
+        row = result.cap_sweep[0]
+        power = result.report.power
+        assert row["served"] == sum(
+            s.served for s in result.report.tenants.values()
+        )
+        assert row["energy_joules"] == power["energy_joules"]
+        assert row["mean_throttle_ratio"] == power["mean_throttle_ratio"]
 
 
 def test_default_stats_container_roundtrips():

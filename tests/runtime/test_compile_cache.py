@@ -180,7 +180,8 @@ class TestExportCacheMetrics:
 
 class TestMeasurementCacheUnit:
     def test_key_for_normalizes_groups(self):
-        assert MeasurementCache.key_for("m", np.int64(3)) == ("m", 3)
+        assert MeasurementCache.key_for("m", np.int64(3)) == ("m", 3, "i20")
+        assert MeasurementCache.key_for("m", 3, "i10") == ("m", 3, "i10")
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Device.open identity: repeated opens never alias telemetry or faults."""
 
+import pytest
+
+from repro.core.errors import ReproRuntimeError
 from repro.faults import FaultInjector, FaultPlan
 from repro.models.zoo import build
 from repro.obs import Observability
@@ -26,6 +29,22 @@ class TestOpenIdentity:
         assert first.accelerator is not second.accelerator
         first.malloc("x", 1024)
         assert second.memory_in_use == 0
+
+    @pytest.mark.parametrize(
+        "name, chip", [("i20", "DTU 2.0"), ("i10", "DTU 1.0")]
+    )
+    def test_open_and_by_name_share_one_product_table(self, name, chip):
+        from repro.core.accelerator import Accelerator
+
+        opened = Device.open(name).accelerator.chip
+        assert Accelerator.by_name(name).chip == opened
+        assert Accelerator.by_name(name).chip.name == chip
+
+    def test_unknown_product_name_rejected(self):
+        from repro.core.accelerator import Accelerator
+
+        with pytest.raises(ReproRuntimeError, match="unknown device"):
+            Accelerator.by_name("i30")
 
     def test_direct_construction_has_no_identity(self):
         # the measurement path builds Devices directly; its telemetry

@@ -37,15 +37,16 @@ class TestPolicyValidation:
     def test_duplicate_names_rejected(self):
         cls = SloClass("x", 10.0, 8, 1)
         with pytest.raises(ReproRuntimeError, match="duplicate"):
-            AdmissionPolicy(classes=(cls, cls), default_class="x")
+            AdmissionPolicy(classes=(cls, cls))
 
     def test_bad_hysteresis_rejected(self):
         with pytest.raises(ReproRuntimeError, match="brownout"):
             AdmissionPolicy(brownout_enter=0.5, brownout_exit=0.5)
 
-    def test_unknown_default_class_rejected(self):
-        with pytest.raises(ReproRuntimeError, match="default_class"):
-            AdmissionPolicy(default_class="vip")
+    def test_classes_without_the_default_class_rejected(self):
+        vip = SloClass("vip", 10.0, 8, 0)
+        with pytest.raises(ReproRuntimeError, match="default class"):
+            AdmissionPolicy(classes=(vip,))
 
     def test_class_for_falls_back_to_default(self):
         policy = AdmissionPolicy()

@@ -32,9 +32,7 @@ class TestConfigValidation:
         with pytest.raises(ReproRuntimeError, match="backpressure"):
             AutoscalerConfig(backpressure_low=0.8, backpressure_high=0.5)
 
-    def test_bad_fraction_and_streak_rejected(self):
-        with pytest.raises(ReproRuntimeError, match="scale_down_fraction"):
-            AutoscalerConfig(scale_down_fraction=1.0)
+    def test_bad_streak_rejected(self):
         with pytest.raises(ReproRuntimeError, match="scale_down_consecutive"):
             AutoscalerConfig(scale_down_consecutive=0)
 

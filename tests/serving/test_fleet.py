@@ -12,7 +12,7 @@ from functools import partial
 import pytest
 
 import repro.serving.fleet as fleet_module
-from repro.caching import COMPILE_CACHE
+from repro.caching import COMPILE_CACHE, MEASUREMENT_CACHE, MeasurementCache
 from repro.core.errors import ReproRuntimeError
 from repro.faults import FaultSchedule, StormPhase
 from repro.obs import Observability
@@ -25,6 +25,7 @@ from repro.serving import (
     TenantConfig,
     TrafficPattern,
     generate_trace,
+    measure_service_time_ns,
 )
 from repro.serving.autoscale import AutoscalerConfig
 from repro.serving.powercap import PowerCapConfig, PowerCapPhase
@@ -123,14 +124,26 @@ class TestBringUp:
         # Every card opens at bring-up, in index order.
         assert opened == ["i20-r0", "i20-r1", "i20-r2"]
 
+    def test_service_times_are_measured_on_the_fleet_device(self):
+        # An i10 fleet serves at i10 speed: the measurement runs on the
+        # fleet's device and is memoized under its own cache key.
+        i20 = measure_service_time_ns("resnet50", 2)
+        i10 = measure_service_time_ns("resnet50", 2, device="i10")
+        assert i10 > i20
+        fleet = FleetManager(
+            _tenants()[:1],
+            config=FleetConfig(replicas=1, device="i10", validate_on_open=False),
+        )
+        assert fleet.service_times_ns["a"] == i10
+        assert MeasurementCache.key_for("resnet50", 2, "i10") in MEASUREMENT_CACHE
+        assert MeasurementCache.key_for("resnet50", 2) in MEASUREMENT_CACHE
+
     def test_invalid_config_rejected(self):
         for kwargs in (
             {"replicas": 0},
             {"hot_spares": -1},
             {"quarantine_threshold": 0},
             {"repair_ms": 0.0},
-            {"max_repair_attempts": 0},
-            {"max_hedges": -1},
         ):
             with pytest.raises(ReproRuntimeError, match="FleetConfig"):
                 FleetConfig(**kwargs)
@@ -141,12 +154,9 @@ class TestBringUp:
         [
             (FleetConfig, "repair_ms"),
             (POWERCAP, "fleet_budget_watts"),
-            (POWERCAP, "window_ms"),
-            (POWERCAP, "device_peak_watts"),
             (PHASE, "budget_watts"),
             (AutoscalerConfig, "eval_interval_ms"),
             (AutoscalerConfig, "cooldown_ms"),
-            (SdcConfig, "abft_overhead"),
             (SdcConfig, "screen_interval_ms"),
             (SdcConfig, "screen_cost_ms"),
         ],
@@ -266,12 +276,13 @@ class TestFailoverLifecycle:
         assert report.min_healthy == 1
 
     def test_zero_capacity_sheds_instead_of_crashing(self):
-        # One replica, no spares, killed for the whole remaining trace,
-        # no hedges: the first two fatals quarantine it and everything
-        # after is shed-no-capacity until the post-trace repair drain.
+        # One replica, no spares, killed for the whole remaining trace: a
+        # hedge has no other replica to go to, the first fatal
+        # quarantines it and everything after is shed-no-capacity until
+        # the post-trace repair drain.
         config = FleetConfig(
             replicas=1, hot_spares=0, quarantine_threshold=1,
-            repair_ms=1000.0, max_hedges=0, validate_on_open=False,
+            repair_ms=1000.0, validate_on_open=False,
         )
         schedule = FaultSchedule(
             phases=(StormPhase.kill(device=0, at_s=0.1, duration_s=0.9),)
@@ -287,10 +298,10 @@ class TestFailoverLifecycle:
 
     def test_repeated_probe_failures_retire_the_board(self):
         # Repair probes land inside the storm window -> every probe
-        # faults -> the board retires after max_repair_attempts.
+        # faults -> the board retires after MAX_REPAIR_ATTEMPTS.
         config = FleetConfig(
             replicas=2, hot_spares=0, quarantine_threshold=1,
-            repair_ms=10.0, max_repair_attempts=2, validate_on_open=False,
+            repair_ms=10.0, validate_on_open=False,
         )
         schedule = FaultSchedule(
             phases=(StormPhase.kill(device=1, at_s=0.05, duration_s=10.0),)
@@ -299,7 +310,7 @@ class TestFailoverLifecycle:
         assert report.retirements == 1
         assert report.device("r1").final_status == ReplicaStatus.RETIRED.value
         assert report.transitions("r1")[-1] == "retired"
-        assert report.repair_failures == 2
+        assert report.repair_failures == fleet_module.MAX_REPAIR_ATTEMPTS
 
 
 class TestDeterminism:

@@ -9,13 +9,17 @@ behavioral change) the acceptance bar demands.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 
+from repro.core.config import dtu1_config, dtu2_config
 from repro.core.errors import ReproRuntimeError
 from repro.serving.fleet import FleetConfig, FleetManager, ReplicaStatus
 from repro.serving.powercap import (
+    BROWNOUT_THROTTLE,
+    BROWNOUT_WINDOWS,
+    ROUTE_AVOID_THROTTLE,
     FleetPowerGovernor,
     PowerCapConfig,
     PowerCapPhase,
@@ -33,9 +37,9 @@ class _FakeReplica:
     free_at: float = 0.0
 
 
-def _governor(n=3, statuses=None, **overrides):
+def _governor(n=3, statuses=None, chip=None, **overrides):
     config = PowerCapConfig(**{"fleet_budget_watts": 450.0, **overrides})
-    governor = FleetPowerGovernor(config)
+    governor = FleetPowerGovernor(config, chip or dtu2_config())
     statuses = statuses or [ReplicaStatus.ACTIVE] * n
     replicas = [
         _FakeReplica(index=i, name=f"r{i}", status=status)
@@ -50,18 +54,18 @@ def _caps(governor):
 
 
 class TestPowerCapConfig:
+    def test_holds_only_the_knobs_a_caller_sets(self):
+        # The envelope and peak draw are the chip's; the rest of the
+        # governor's tuning is module constants.
+        assert [f.name for f in fields(PowerCapConfig)] == [
+            "fleet_budget_watts", "policy", "phases",
+        ]
+
     def test_rejects_bad_values(self):
         with pytest.raises(ReproRuntimeError):
             PowerCapConfig(fleet_budget_watts=0.0)
         with pytest.raises(ReproRuntimeError):
             PowerCapConfig(fleet_budget_watts=300.0, policy="greedy")
-        with pytest.raises(ReproRuntimeError):
-            PowerCapConfig(fleet_budget_watts=300.0, window_ms=0.0)
-        with pytest.raises(ReproRuntimeError):
-            PowerCapConfig(
-                fleet_budget_watts=300.0, device_idle_watts=200.0,
-                device_peak_watts=150.0,
-            )
 
     def test_phase_validation(self):
         with pytest.raises(ReproRuntimeError):
@@ -113,6 +117,15 @@ class TestPowerCapConfig:
 
 
 class TestApportionment:
+    @pytest.mark.parametrize(
+        "chip", [dtu2_config(), dtu1_config()], ids=["i20", "i10"]
+    )
+    def test_envelope_and_peak_come_from_the_chip(self, chip):
+        governor, _ = _governor(n=2, chip=chip, fleet_budget_watts=450.0)
+        assert governor._envelope[0] == chip.max_clock_ghz
+        assert min(governor._envelope) >= chip.base_clock_ghz
+        assert _caps(governor) == [chip.tdp_watts] * 2
+
     def test_generous_budget_lifts_every_device_to_peak(self):
         """Top-up pass: budget >= n*peak must leave zero throttle."""
         governor, _ = _governor(n=3, fleet_budget_watts=450.0)
@@ -195,23 +208,34 @@ class TestApportionment:
         dilations = governor.dilations()
         assert all(value > 1.0 for value in dilations.values())
 
-    def test_avoid_indices_follow_throttle_threshold(self):
-        governor, replicas = _governor(
-            n=2, fleet_budget_watts=120.0, route_avoid_throttle=0.05
-        )
+    @pytest.mark.parametrize("budget, avoided", [(270.0, False), (120.0, True)])
+    def test_avoid_indices_follow_throttle_threshold(self, budget, avoided):
+        # A mild cap throttles both devices a little, below the routing
+        # threshold; a deep one throttles them past it.
+        governor, replicas = _governor(n=2, fleet_budget_watts=budget)
         statuses = [r.status for r in replicas]
         governor.close_window(governor.window_ns, statuses)
-        assert governor.avoid_indices()  # deep caps throttle everyone
+        throttles = [state.throttle for state in governor._devices]
+        assert all(throttle > 0.0 for throttle in throttles)
+        assert all(
+            (throttle > ROUTE_AVOID_THROTTLE) == avoided
+            for throttle in throttles
+        )
+        assert governor.avoid_indices() == (
+            frozenset({0, 1}) if avoided else frozenset()
+        )
 
     def test_power_pressure_needs_sustained_throttle(self):
-        governor, replicas = _governor(
-            n=2, fleet_budget_watts=120.0,
-            brownout_throttle=0.1, brownout_windows=2,
-        )
+        governor, replicas = _governor(n=2, fleet_budget_watts=120.0)
         statuses = [r.status for r in replicas]
-        governor.close_window(governor.window_ns, statuses)
-        assert governor.power_pressure() == 0.0  # streak too short
-        governor.close_window(2 * governor.window_ns, statuses)
+        for window in range(1, BROWNOUT_WINDOWS):
+            governor.close_window(window * governor.window_ns, statuses)
+            assert governor.throttle_ratio >= BROWNOUT_THROTTLE
+            assert governor.power_pressure() == 0.0  # streak too short
+        governor.close_window(BROWNOUT_WINDOWS * governor.window_ns, statuses)
+        assert governor.power_pressure() == min(
+            1.0, governor.throttle_ratio / BROWNOUT_THROTTLE
+        )
         assert governor.power_pressure() > 0.0
 
     def test_can_power_promotion_checks_headroom(self):
@@ -338,6 +362,31 @@ class TestFleetIntegration:
         for row in rows:
             assert row["cap_watts"] <= row["budget_watts"] + 1e-9
             assert row["draw_watts"] <= row["cap_in_force_watts"] + 1e-9
+
+    def test_i10_fleet_governs_inside_the_i10_envelope(self):
+        # The DVFS envelope, the peak draw and the dilation's reference
+        # clock all come from the fleet's chip: an i10 tops out at
+        # 1.25 GHz, not at the i20's 1.4.
+        chip = dtu1_config()
+        manager = FleetManager(
+            TENANTS,
+            config=FleetConfig(
+                replicas=2, hot_spares=0, seed=3, device="i10",
+                validate_on_open=False,
+            ),
+            service_times_ns=dict(SERVICE_TIMES),
+            powercap=PowerCapConfig(fleet_budget_watts=240.0),
+        )
+        governor = manager._governor
+        assert governor._envelope[0] == chip.max_clock_ghz == 1.25
+        assert min(governor._envelope) >= chip.base_clock_ghz
+        report = manager.run(_trace())
+        assert report.power["mean_throttle_ratio"] > 0.0
+        for state in governor._devices:
+            f_ghz = state.dvfs.f_ghz
+            assert chip.base_clock_ghz <= f_ghz <= 1.25
+            assert state.dilation == (1.25 / f_ghz) / (1.0 - state.stall)
+            assert state.cap_watts <= chip.tdp_watts
 
     def test_power_gauges_exported(self):
         from repro.obs import Observability

@@ -78,7 +78,6 @@ class TestSdcConfigValidation:
             {"abft": "fuzzy"},
             {"probe_coverage": 1.5},
             {"probe_coverage": -0.1},
-            {"abft_overhead": 0.5},
             {"screen_interval_ms": 0.0},
             {"screen_interval_ms": -1.0},
             {"screen_vectors": 0},

@@ -14,12 +14,14 @@ enough to shed, brown out, retry and trip breakers, closed by a flood
 on the first tenant. Service times are
 given explicitly, so no detailed-simulator run is involved.
 
-Rewrite the file with ``PYTHONPATH=src python tools/server_golden.py``;
-``tests/serving/test_server_golden.py`` holds the server to it.
+Rewrite the file with ``PYTHONPATH=src python tools/server_golden.py``
+(``-o PATH`` writes elsewhere); ``tests/serving/test_server_golden.py``
+holds the server to it.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 from dataclasses import asdict
@@ -123,5 +125,8 @@ def render() -> str:
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(render())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("-o", "--output", type=Path, default=GOLDEN)
+    args = parser.parse_args()
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    args.output.write_text(render())
