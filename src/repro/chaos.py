@@ -13,8 +13,9 @@ invariant against the resulting :class:`~repro.serving.fleet.FleetReport`:
   active, the served fraction stays above the scenario's floor;
 - **monotone-time** — the fleet timeline never runs backwards: lifecycle
   events are time-ordered per device and nothing outruns the horizon;
-- **obs-consistency** — the metrics registry the run exported agrees
-  exactly with the report (no counter drift between telemetry and truth);
+- **obs-consistency** — every series the run exported (the
+  ``metric_samples`` table) agrees exactly with the report (no counter
+  drift between telemetry and truth);
 - **end-to-end-correctness** — under a declared SDC defense, every
   injected silent corruption is either detected or within the scenario's
   served-corruption budget, with bounded detection latency, and a
@@ -39,7 +40,12 @@ from repro.obs import Observability
 from repro.seeding import derive_seed
 from repro.serving.admission import AdmissionPolicy, SloClass
 from repro.serving.autoscale import AutoscalerConfig
-from repro.serving.fleet import FleetConfig, FleetManager, FleetReport
+from repro.serving.fleet import (
+    FleetConfig,
+    FleetManager,
+    FleetReport,
+    metric_samples,
+)
 from repro.serving.loadgen import LoadSpec, generate_load
 from repro.serving.powercap import DEVICE_IDLE_WATTS, PowerCapConfig, PowerCapPhase
 from repro.serving.sdc import SdcConfig
@@ -258,50 +264,61 @@ def _check_monotone_time(scenario, report, registry) -> list[str]:
 
 
 def _check_obs_consistency(scenario, report, registry) -> list[str]:
-    """Exported fleet metrics agree exactly with the report."""
+    """Every exported fleet series agrees exactly with the report.
+
+    Reads back the rows the exporter wrote (:func:`metric_samples`):
+    each row's instrument must be registered with its kind and hold the
+    row's value, and no instrument in the table may carry a label set
+    the rows do not name (drift left by an earlier run on a shared hub).
+    """
     if registry is None:
         return []
     violations = []
-    expectations = {
-        "fleet_failovers_total": report.failovers,
-        "fleet_hedged_requests_total": report.hedged_requests,
-        "fleet_quarantines_total": report.quarantines,
-        "fleet_repairs_total": report.repairs,
-        "fleet_reintegrations_total": report.reintegrations,
-        "fleet_promotions_total": report.promotions,
-    }
-    for name, expected in sorted(expectations.items()):
-        metric = registry.get(name)
-        actual = metric.total() if metric is not None else 0.0
-        if actual != float(expected):
-            violations.append(
-                f"obs-consistency: {name} exported {actual} but the "
-                f"report says {expected}"
-            )
-    healthy = registry.get("fleet_healthy_replicas")
-    if healthy is None or healthy.value() != float(report.final_healthy):
-        violations.append(
-            "obs-consistency: fleet_healthy_replicas gauge disagrees with "
-            f"report final_healthy={report.final_healthy}"
-        )
-    requests = registry.get("fleet_requests_total")
-    for name, stats in sorted(report.tenants.items()):
-        for status, expected in (
-            ("served", stats.served),
-            ("failed", stats.failed),
-            ("shed", stats.shed),
-        ):
-            actual = (
-                requests.value(tenant=name, status=status)
-                if requests is not None else 0.0
-            )
-            if actual != float(expected):
+    unread: dict[str, dict | None] = {}
+    for kind, name, _help, _unit, labels, value in metric_samples(
+        report, scenario.admission is not None,
+        scenario.autoscaler is not None,
+    ):
+        if name not in unread:
+            metric = registry.get(name)
+            if metric is None or metric.kind != kind:
                 violations.append(
-                    f"obs-consistency: fleet_requests_total"
-                    f"{{tenant={name},status={status}}} exported {actual} "
-                    f"but the report says {expected}"
+                    f"obs-consistency: {name} is not a registered {kind}"
                 )
+                unread[name] = None
+            else:
+                unread[name] = {
+                    _series_key(exported): actual
+                    for exported, actual in metric.samples()
+                }
+        series = unread[name]
+        if series is None or labels is None:
+            continue
+        key = _series_key(labels)
+        actual = series.pop(key, 0.0 if kind == "counter" else None)
+        if actual != value:
+            violations.append(
+                f"obs-consistency: {_series_name(name, key)} exported "
+                f"{actual} but the report says {value}"
+            )
+    for name, series in sorted(unread.items()):
+        for key, actual in sorted((series or {}).items()):
+            violations.append(
+                f"obs-consistency: {_series_name(name, key)} exported "
+                f"{actual} but the report has no such series"
+            )
     return violations
+
+
+def _series_key(labels: dict) -> tuple:
+    return tuple(sorted(labels.items()))
+
+
+def _series_name(name: str, key: tuple) -> str:
+    """``name{k=v,...}`` with the labels in sorted order."""
+    if not key:
+        return name
+    return name + "{" + ",".join(f"{k}={v}" for k, v in key) + "}"
 
 
 def _check_class_conservation(scenario, report, registry) -> list[str]:
@@ -418,46 +435,6 @@ def _check_autoscaler_convergence(scenario, report, registry) -> list[str]:
     return violations
 
 
-def _check_serving_obs_consistency(scenario, report, registry) -> list[str]:
-    """Admission/autoscaler metrics agree exactly with the report."""
-    if registry is None:
-        return []
-    violations = []
-    shed_metric = registry.get("serving_shed_total")
-    for name, stats in sorted(report.tenants.items()):
-        for slo_class, entry in sorted(stats.by_class.items()):
-            for reason, expected in sorted(entry.shed_reasons.items()):
-                actual = (
-                    shed_metric.value(
-                        tenant=name, slo_class=slo_class, reason=reason
-                    )
-                    if shed_metric is not None else 0.0
-                )
-                if actual != float(expected):
-                    violations.append(
-                        f"obs-consistency: serving_shed_total{{tenant={name},"
-                        f"slo_class={slo_class},reason={reason}}} exported "
-                        f"{actual} but the report says {expected}"
-                    )
-    if report.autoscale_ups or report.autoscale_downs:
-        scale_metric = registry.get("autoscaler_scale_events_total")
-        for direction, expected in (
-            ("up", report.autoscale_ups),
-            ("down", report.autoscale_downs),
-        ):
-            actual = (
-                scale_metric.value(direction=direction)
-                if scale_metric is not None else 0.0
-            )
-            if actual != float(expected):
-                violations.append(
-                    f"obs-consistency: autoscaler_scale_events_total"
-                    f"{{direction={direction}}} exported {actual} but the "
-                    f"report says {expected}"
-                )
-    return violations
-
-
 def _check_power_integrity(scenario, report, registry) -> list[str]:
     """The governor never over-commits the budget it was given.
 
@@ -491,61 +468,16 @@ def _check_power_integrity(scenario, report, registry) -> list[str]:
     return violations
 
 
-def _check_power_obs_consistency(scenario, report, registry) -> list[str]:
-    """Exported power gauges/counters agree exactly with the report."""
-    power = report.power
-    if power is None or registry is None:
-        return []
-    violations = []
-    gauges = {
-        "fleet_power_cap_watts": power["budget_watts"],
-        "fleet_power_draw_watts": power["mean_draw_watts"],
-        "powercap_throttle_ratio": power["mean_throttle_ratio"],
-        "energy_per_inference_mj": power["energy_per_inference_mj"],
-    }
-    for name, expected in sorted(gauges.items()):
-        metric = registry.get(name)
-        actual = metric.value() if metric is not None else None
-        if actual != expected:
-            violations.append(
-                f"obs-consistency: {name} exported {actual} but the "
-                f"power report says {expected}"
-            )
-    device_cap = registry.get("device_power_cap_watts")
-    for name, entry in sorted(power["devices"].items()):
-        actual = (
-            device_cap.value(device=name) if device_cap is not None else None
-        )
-        if actual != entry["final_cap_watts"]:
-            violations.append(
-                f"obs-consistency: device_power_cap_watts{{device={name}}} "
-                f"exported {actual} but the power report says "
-                f"{entry['final_cap_watts']}"
-            )
-    reapportions = registry.get("powercap_reapportion_total")
-    actual = (
-        reapportions.value(policy=power["policy"])
-        if reapportions is not None else 0.0
-    )
-    if actual != float(power["reapportions"]):
-        violations.append(
-            f"obs-consistency: powercap_reapportion_total"
-            f"{{policy={power['policy']}}} exported {actual} but the power "
-            f"report says {power['reapportions']}"
-        )
-    return violations
-
-
 def _check_end_to_end_correctness(scenario, report, registry) -> list[str]:
     """Corrupted results never reach clients beyond the declared budget.
 
-    Four clauses, all over the report's ``sdc`` section: (1) the section
+    Three clauses, all over the report's ``sdc`` section: (1) the section
     exists exactly when the scenario declares a defense; (2) the
     conserved ledger holds — every injected corruption event lands in
     exactly one detection bucket or the served bucket; (3) the served
     bucket stays within ``max_sdc_served`` and the worst detection
-    latency within ``sdc_detection_latency_ms``; (4) the exported
-    ``sdc_*`` metrics agree exactly with the report.
+    latency within ``sdc_detection_latency_ms``. ``obs-consistency``
+    holds the exported SDC metrics to the same section.
     """
     sdc = report.sdc
     if scenario.sdc is None:
@@ -589,33 +521,6 @@ def _check_end_to_end_correctness(scenario, report, registry) -> list[str]:
             f"{sdc['max_detection_latency_ms']:.3f}ms over the declared "
             f"bound of {bound}ms"
         )
-    if registry is not None:
-        injected_metric = registry.get("sdc_injected_total")
-        actual = injected_metric.total() if injected_metric is not None else 0.0
-        if actual != float(sdc["injected"]):
-            violations.append(
-                f"end-to-end-correctness: sdc_injected_total exported "
-                f"{actual} but the report says {sdc['injected']}"
-            )
-        detected_metric = registry.get("sdc_detected_total")
-        for method, expected in sorted(sdc["detected"].items()):
-            actual = (
-                detected_metric.value(method=method)
-                if detected_metric is not None else 0.0
-            )
-            if actual != float(expected):
-                violations.append(
-                    f"end-to-end-correctness: sdc_detected_total"
-                    f"{{method={method}}} exported {actual} but the report "
-                    f"says {expected}"
-                )
-        served_metric = registry.get("sdc_served_total")
-        actual = served_metric.total() if served_metric is not None else 0.0
-        if actual != float(sdc["served_corrupted"]):
-            violations.append(
-                f"end-to-end-correctness: sdc_served_total exported "
-                f"{actual} but the report says {sdc['served_corrupted']}"
-            )
     return violations
 
 
@@ -630,9 +535,7 @@ INVARIANTS = (
     ("class-availability-floor", _check_class_availability_floors),
     ("brownout-ordering", _check_brownout_ordering),
     ("autoscaler-convergence", _check_autoscaler_convergence),
-    ("serving-obs-consistency", _check_serving_obs_consistency),
     ("power-integrity", _check_power_integrity),
-    ("power-obs-consistency", _check_power_obs_consistency),
     ("end-to-end-correctness", _check_end_to_end_correctness),
 )
 
@@ -651,13 +554,12 @@ def declared_invariants(scenario: ChaosScenario) -> list[str]:
     names = list(_ALWAYS_INVARIANTS)
     if scenario.admission is not None:
         names += ["class-conservation", "brownout-ordering"]
-        names.append("serving-obs-consistency")
     if scenario.class_availability_floors:
         names.append("class-availability-floor")
     if scenario.autoscaler is not None:
         names.append("autoscaler-convergence")
     if scenario.powercap is not None:
-        names += ["power-integrity", "power-obs-consistency"]
+        names.append("power-integrity")
     if scenario.sdc is not None:
         names += ["end-to-end-correctness", "undefended-exposure"]
     if scenario.overload_multipliers:
@@ -1118,7 +1020,7 @@ def _overload_sweep(
     offered-load multiplier — an admission layer that sheds less as
     overload deepens is lying about its backpressure. Runs on a separate
     fleet without observability so the main run's exported metrics stay
-    exactly what the obs-consistency invariants audited.
+    exactly what the obs-consistency invariant audited.
     """
     sweep_manager = _fleet(scenario, fleet_config, service_times)
     rows: list[dict] = []
@@ -1164,7 +1066,7 @@ def _cap_sweep(
     otherwise a few extra milliseconds of idle burn would dominate the
     comparison. Runs off-telemetry on a separate fleet so the main
     run's exported metrics stay exactly what the obs-consistency
-    invariants audited.
+    invariant audited.
     """
     rows: list[dict] = []
     horizons: list[float] = []
@@ -1225,7 +1127,7 @@ def _sdc_control(
     the storm never threatened anything, and the defended scenario's
     ``max_sdc_served`` ceiling is a vacuous pass; that is flagged as a
     violation. Runs off-telemetry on a separate fleet so the main run's
-    exported metrics stay exactly what the obs-consistency invariants
+    exported metrics stay exactly what the obs-consistency invariant
     audited.
     """
     manager = _fleet(scenario, fleet_config, service_times, sdc=SdcConfig())

@@ -10,8 +10,9 @@ Commands:
 - ``faults`` — a fault-injection campaign: one faulty launch with RAS
   retries, then a two-tenant serving run under the same fault plan,
 - ``profile MODEL`` — per-category and per-engine tables read back from
-  the unified metrics registry (``repro.obs``); ``--fleet`` appends a
-  fleet-resilience gauge table from a small multi-replica demo,
+  the unified metrics registry (``repro.obs``); ``--fleet`` appends
+  fleet-resilience and fleet-power tables from two chaos scenarios
+  (exit 1 if either breaks an invariant),
 - ``trace MODEL -o trace.json`` — whole-stack Chrome trace (serving /
   runtime / sim / fault / power rows) for chrome://tracing or Perfetto,
 - ``chaos`` — the deterministic chaos suite: scripted fault storms run
@@ -364,72 +365,69 @@ def _cmd_profile(args) -> int:
     print(f"{'fallbacks':<28} "
           f"{fallbacks.total() if fallbacks is not None else 0.0:>8.0f}")
 
-    # Fleet-resilience table: run the replica-kill chaos scenario on the
-    # SAME registry so its fleet_* gauges/counters land next to the rest.
-    if args.fleet:
-        from repro.chaos import SCENARIOS, run_scenario
+    return _profile_fleet(obs) if args.fleet else 0
 
-        result = run_scenario(SCENARIOS["replica-kill"], seed=0, obs=obs)
-        report = result.report
-        print()
-        header = f"{'fleet metric':<28} {'value':>8}"
-        print(header)
-        print("-" * len(header))
-        for metric, kind in (
-            ("fleet_replicas", "gauge"),
-            ("fleet_healthy_replicas", "gauge"),
-            ("fleet_min_healthy_replicas", "gauge"),
-            ("fleet_failovers_total", "counter"),
-            ("fleet_hedged_requests_total", "counter"),
-            ("fleet_quarantines_total", "counter"),
-            ("fleet_repairs_total", "counter"),
-            ("fleet_reintegrations_total", "counter"),
-            ("fleet_promotions_total", "counter"),
-        ):
-            series = registry.get(metric)
-            value = 0.0
-            if series is not None:
-                value = (
-                    series.value() if kind == "gauge" else series.total()
-                )
-            print(f"{metric:<28} {value:>8.0f}")
-        for tenant in sorted(report.tenants):
-            availability = registry.get("fleet_availability")
-            print(f"{'fleet_availability{' + tenant + '}':<28} "
-                  f"{availability.value(tenant=tenant):>8.1%}")
 
-        # Fleet-power table: run the power-cap-storm scenario on the same
-        # registry and read the table straight from the gauges the
-        # governor exported (docs/power.md).
-        result = run_scenario(SCENARIOS["power-cap-storm"], seed=0, obs=obs)
-        power = result.report.power
-        print()
-        header = f"{'fleet power':<28} {'value':>10}"
-        print(header)
-        print("-" * len(header))
-        for metric, fmt in (
-            ("fleet_power_cap_watts", "{:>10.1f}"),
-            ("fleet_power_draw_watts", "{:>10.1f}"),
-            ("powercap_throttle_ratio", "{:>10.3f}"),
-            ("energy_per_inference_mj", "{:>10.1f}"),
-        ):
-            series = registry.get(metric)
-            value = series.value() if series is not None else 0.0
-            print(f"{metric:<28} {fmt.format(value)}")
-        device_cap = registry.get("device_power_cap_watts")
-        device_draw = registry.get("device_power_draw_watts")
-        device_throttle = registry.get("device_power_throttle")
-        print()
-        header = (f"{'device':<10} {'draw W':>8} {'cap W':>8} "
-                  f"{'throttle':>8}")
-        print(header)
-        print("-" * len(header))
-        for name in sorted(power["devices"]):
-            print(f"{name:<10} "
-                  f"{device_draw.value(device=name):>8.1f} "
-                  f"{device_cap.value(device=name):>8.1f} "
-                  f"{device_throttle.value(device=name):>8.3f}")
-    return 0
+def _profile_fleet(obs) -> int:
+    """The ``profile --fleet`` tables, printed from ``metric_samples``.
+
+    replica-kill runs on ``obs`` so its fleet series land next to the
+    launch metrics; power-cap-storm runs on a hub of its own, since two
+    runs on one hub add up their counters. Prints every invariant
+    violation and returns 1 if either scenario fails.
+    """
+    from repro.chaos import SCENARIOS, run_scenario
+    from repro.obs import Observability
+    from repro.serving.fleet import metric_samples
+
+    kill = run_scenario(SCENARIOS["replica-kill"], seed=0, obs=obs)
+    print()
+    header = f"{'fleet metric':<28} {'value':>8}"
+    print(header)
+    print("-" * len(header))
+    for _kind, name, _help, _unit, labels, value in metric_samples(
+        kill.report, admission=False, autoscaler=False
+    ):
+        if not labels:
+            print(f"{name:<28} {value:>8.0f}")
+        elif name == "fleet_availability":
+            print(f"{'fleet_availability{' + labels['tenant'] + '}':<28} "
+                  f"{value:>8.1%}")
+
+    storm = run_scenario(
+        SCENARIOS["power-cap-storm"], seed=0, obs=Observability()
+    )
+    values = {
+        (name, labels.get("device")): value
+        for _kind, name, _help, _unit, labels, value in metric_samples(
+            storm.report, admission=False, autoscaler=False
+        )
+    }
+    print()
+    header = f"{'fleet power':<28} {'value':>10}"
+    print(header)
+    print("-" * len(header))
+    for metric, fmt in (
+        ("fleet_power_cap_watts", "{:>10.1f}"),
+        ("fleet_power_draw_watts", "{:>10.1f}"),
+        ("powercap_throttle_ratio", "{:>10.3f}"),
+        ("energy_per_inference_mj", "{:>10.1f}"),
+    ):
+        print(f"{metric:<28} {fmt.format(values[metric, None])}")
+    print()
+    header = (f"{'device':<10} {'draw W':>8} {'cap W':>8} "
+              f"{'throttle':>8}")
+    print(header)
+    print("-" * len(header))
+    for name in sorted(storm.report.power["devices"]):
+        print(f"{name:<10} "
+              f"{values['device_power_draw_watts', name]:>8.1f} "
+              f"{values['device_power_cap_watts', name]:>8.1f} "
+              f"{values['device_power_throttle', name]:>8.3f}")
+    for result in (kill, storm):
+        for violation in result.violations:
+            print(f"{result.scenario.name}: {violation}")
+    return 0 if kill.passed and storm.passed else 1
 
 
 def _cmd_trace(args) -> int:

@@ -68,6 +68,7 @@ __all__ = [
     "FleetTenantStats",
     "LifecycleEvent",
     "ReplicaStatus",
+    "metric_samples",
 ]
 
 #: Failed repair probes before a quarantined replica is retired.
@@ -1394,212 +1395,166 @@ class FleetManager:
         )
 
     def _export_obs(self, report: FleetReport) -> None:
-        """Mirror the fleet report into the attached metrics registry.
+        """Write the :func:`metric_samples` rows into the attached registry.
 
-        The gauge/counter catalogue is documented in docs/observability.md
-        (fleet rows); ``repro profile --fleet`` prints the same numbers.
+        A gauge is set; a counter is registered and incremented only when
+        its value is non-zero.
         """
         metrics = self.obs.metrics
-        metrics.gauge(
-            "fleet_replicas", "configured replicas (active target + spares)"
-        ).set(report.replicas + report.hot_spares)
-        metrics.gauge(
-            "fleet_healthy_replicas", "active replicas at end of run"
-        ).set(report.final_healthy)
-        metrics.gauge(
-            "fleet_min_healthy_replicas", "lowest active count seen"
-        ).set(report.min_healthy)
-        counter_values = {
-            "fleet_failovers_total":
-                ("request re-dispatches after a replica fatal",
-                 report.failovers),
-            "fleet_hedged_requests_total":
-                ("requests that needed >= 1 hedged retry",
-                 report.hedged_requests),
-            "fleet_quarantines_total":
-                ("replica quarantine transitions", report.quarantines),
-            "fleet_repairs_total":
-                ("repair probes that came back clean", report.repairs),
-            "fleet_repair_failures_total":
-                ("repair probes that faulted", report.repair_failures),
-            "fleet_reintegrations_total":
-                ("repaired replicas rejoining the pool",
-                 report.reintegrations),
-            "fleet_promotions_total":
-                ("hot spares promoted to active", report.promotions),
-            "fleet_retirements_total":
-                ("replicas retired after failed repairs",
-                 report.retirements),
-        }
-        for name, (help_text, value) in counter_values.items():
-            if value:
-                metrics.counter(name, help_text).inc(value)
-            else:
-                metrics.counter(name, help_text)
-        requests_total = metrics.counter(
-            "fleet_requests_total", "fleet requests by tenant and status"
-        )
-        availability = metrics.gauge(
-            "fleet_availability", "served / offered per tenant"
-        )
-        for name, stats in sorted(report.tenants.items()):
-            for status, value in (
-                ("served", stats.served),
-                ("failed", stats.failed),
-                ("shed", stats.shed),
-            ):
-                if value:
-                    requests_total.inc(value, tenant=name, status=status)
-            availability.set(stats.availability, tenant=name)
-        self._export_serving_obs(report)
-        if report.power is not None:
-            self._export_power_obs(report)
-        if report.sdc is not None:
-            self._export_sdc_obs(report)
-
-    def _export_serving_obs(self, report: FleetReport) -> None:
-        """Admission/autoscaler metric rows (docs/observability.md)."""
-        metrics = self.obs.metrics
-        if self._admission_ctl is not None:
-            shed_total = metrics.counter(
-                "serving_shed_total",
-                "requests shed by admission, by reason",
-            )
-            class_p99 = metrics.gauge(
-                "serving_class_p99_ms", "per-SLO-class p99 latency",
-                unit="ms",
-            )
-            class_availability = metrics.gauge(
-                "serving_class_availability",
-                "served / offered per SLO class",
-            )
-            for name, stats in sorted(report.tenants.items()):
-                for slo_class, entry in sorted(stats.by_class.items()):
-                    for reason, count in sorted(entry.shed_reasons.items()):
-                        shed_total.inc(
-                            count, tenant=name, slo_class=slo_class,
-                            reason=reason,
-                        )
-                    class_p99.set(
-                        entry.p99_ms, tenant=name, slo_class=slo_class
-                    )
-                    class_availability.set(
-                        entry.availability, tenant=name, slo_class=slo_class
-                    )
+        admission = self._admission_ctl
+        for kind, name, help_text, unit, labels, value in metric_samples(
+            report, admission is not None, self._autoscaler is not None
+        ):
+            instrument = getattr(metrics, kind)(name, help_text, unit)
+            if labels is None:
+                continue
+            if kind == "gauge":
+                instrument.set(value, **labels)
+            elif value:
+                instrument.inc(value, **labels)
+        if admission is not None:
+            # The controller's end-of-run level is not a report field, so
+            # it is the one gauge exported outside metric_samples.
             metrics.gauge(
                 "serving_brownout_level", "degradation level at run end"
-            ).set(self._admission_ctl.brownout_level)
-            metrics.gauge(
-                "serving_backpressure_peak", "worst queue fullness seen"
-            ).set(report.peak_backpressure)
-        if self._autoscaler is not None:
-            metrics.gauge(
-                "autoscaler_replicas", "active replicas at end of run"
-            ).set(report.final_healthy)
-            scale_events = metrics.counter(
-                "autoscaler_scale_events_total",
-                "autoscaler actions by direction",
-            )
-            if report.autoscale_ups:
-                scale_events.inc(report.autoscale_ups, direction="up")
-            if report.autoscale_downs:
-                scale_events.inc(report.autoscale_downs, direction="down")
+            ).set(admission.brownout_level)
 
-    def _export_power_obs(self, report: FleetReport) -> None:
-        """Fleet power governor gauge/counter rows (docs/power.md)."""
-        metrics = self.obs.metrics
-        power = report.power
-        metrics.gauge(
-            "fleet_power_cap_watts", "base fleet power budget", unit="W"
-        ).set(power["budget_watts"])
-        metrics.gauge(
-            "fleet_power_draw_watts",
-            "mean modelled fleet draw over the run", unit="W",
-        ).set(power["mean_draw_watts"])
-        metrics.gauge(
-            "powercap_throttle_ratio",
-            "mean power-throttle across active devices",
-        ).set(power["mean_throttle_ratio"])
-        metrics.gauge(
-            "energy_per_inference_mj",
-            "modelled energy per served inference", unit="mJ",
-        ).set(power["energy_per_inference_mj"])
-        device_cap = metrics.gauge(
-            "device_power_cap_watts",
-            "final per-device power cap", unit="W",
-        )
-        device_draw = metrics.gauge(
-            "device_power_draw_watts",
-            "mean per-device modelled draw", unit="W",
-        )
-        device_throttle = metrics.gauge(
-            "device_power_throttle",
-            "final per-device power throttle",
-        )
-        for name, entry in sorted(power["devices"].items()):
-            device_cap.set(entry["final_cap_watts"], device=name)
-            device_draw.set(entry["mean_draw_watts"], device=name)
-            device_throttle.set(entry["final_throttle"], device=name)
-        reapportions = metrics.counter(
-            "powercap_reapportion_total",
-            "governor windows that moved at least one device cap",
-        )
-        if power["reapportions"]:
-            reapportions.inc(power["reapportions"], policy=power["policy"])
-        parked = metrics.counter(
-            "powercap_parked_device_windows_total",
-            "device-windows spent parked by the budget",
-        )
-        if power["parked_device_windows"]:
-            parked.inc(power["parked_device_windows"])
-        blocked = metrics.counter(
-            "powercap_blocked_scaleups_total",
-            "autoscaler promotions the power budget vetoed",
-        )
-        if power["power_blocked_scaleups"]:
-            blocked.inc(power["power_blocked_scaleups"])
 
-    def _export_sdc_obs(self, report: FleetReport) -> None:
-        """SDC defense counter/gauge rows (docs/observability.md)."""
-        metrics = self.obs.metrics
-        sdc = report.sdc
-        injected = metrics.counter(
-            "sdc_injected_total",
-            "silent corruption events injected at the fleet tier",
-        )
-        if sdc["injected"]:
-            injected.inc(sdc["injected"])
-        detected = metrics.counter(
-            "sdc_detected_total", "caught corruption events by method"
-        )
+def metric_samples(report: FleetReport, admission: bool, autoscaler: bool):
+    """Every series a fleet run exports, read off ``report``.
+
+    Yields ``(kind, name, help, unit, labels, value)`` rows: the one
+    mapping from :class:`FleetReport` fields to the fleet, admission/
+    autoscaler, power-governor and SDC tables of docs/observability.md.
+    The exporter writes these rows, the chaos ``obs-consistency``
+    invariant reads them back from the registry, and ``repro profile
+    --fleet`` prints the unlabelled fleet rows. ``admission`` and
+    ``autoscaler`` say whether the run had those controllers attached.
+    A row whose ``labels`` is ``None`` only registers its instrument: a
+    per-class family can have no series yet (no class saw traffic).
+    """
+    tenants = sorted(report.tenants.items())
+    yield ("gauge", "fleet_replicas",
+           "configured replicas (active target + spares)", "", {},
+           report.replicas + report.hot_spares)
+    yield ("gauge", "fleet_healthy_replicas",
+           "active replicas at end of run", "", {}, report.final_healthy)
+    yield ("gauge", "fleet_min_healthy_replicas",
+           "lowest active count seen", "", {}, report.min_healthy)
+    for name, help_text, value in (
+        ("fleet_failovers_total",
+         "request re-dispatches after a replica fatal", report.failovers),
+        ("fleet_hedged_requests_total",
+         "requests that needed >= 1 hedged retry", report.hedged_requests),
+        ("fleet_quarantines_total",
+         "replica quarantine transitions", report.quarantines),
+        ("fleet_repairs_total",
+         "repair probes that came back clean", report.repairs),
+        ("fleet_repair_failures_total",
+         "repair probes that faulted", report.repair_failures),
+        ("fleet_reintegrations_total",
+         "repaired replicas rejoining the pool", report.reintegrations),
+        ("fleet_promotions_total",
+         "hot spares promoted to active", report.promotions),
+        ("fleet_retirements_total",
+         "replicas retired after failed repairs", report.retirements),
+    ):
+        yield "counter", name, help_text, "", {}, value
+    for tenant, stats in tenants:
+        for status in ("served", "failed", "shed"):
+            yield ("counter", "fleet_requests_total",
+                   "fleet requests by tenant and status", "",
+                   {"tenant": tenant, "status": status},
+                   getattr(stats, status))
+        yield ("gauge", "fleet_availability", "served / offered per tenant",
+               "", {"tenant": tenant}, stats.availability)
+    if admission:
+        shed = ("counter", "serving_shed_total",
+                "requests shed by admission, by reason", "")
+        p99 = ("gauge", "serving_class_p99_ms", "per-SLO-class p99 latency",
+               "ms")
+        availability = ("gauge", "serving_class_availability",
+                        "served / offered per SLO class", "")
+        for family in (shed, p99, availability):
+            yield *family, None, None
+        for tenant, stats in tenants:
+            for slo_class, entry in sorted(stats.by_class.items()):
+                labels = {"tenant": tenant, "slo_class": slo_class}
+                for reason, count in sorted(entry.shed_reasons.items()):
+                    yield *shed, {**labels, "reason": reason}, count
+                yield *p99, labels, entry.p99_ms
+                yield *availability, labels, entry.availability
+        yield ("gauge", "serving_backpressure_peak",
+               "worst queue fullness seen", "", {}, report.peak_backpressure)
+    if autoscaler:
+        yield ("gauge", "autoscaler_replicas", "active replicas at end of run",
+               "", {}, report.final_healthy)
+        for direction, value in (
+            ("up", report.autoscale_ups), ("down", report.autoscale_downs),
+        ):
+            yield ("counter", "autoscaler_scale_events_total",
+                   "autoscaler actions by direction", "",
+                   {"direction": direction}, value)
+    power = report.power
+    if power is not None:
+        for name, help_text, unit, key in (
+            ("fleet_power_cap_watts", "base fleet power budget", "W",
+             "budget_watts"),
+            ("fleet_power_draw_watts",
+             "mean modelled fleet draw over the run", "W", "mean_draw_watts"),
+            ("powercap_throttle_ratio",
+             "mean power-throttle across active devices", "",
+             "mean_throttle_ratio"),
+            ("energy_per_inference_mj",
+             "modelled energy per served inference", "mJ",
+             "energy_per_inference_mj"),
+        ):
+            yield "gauge", name, help_text, unit, {}, power[key]
+        for device, entry in sorted(power["devices"].items()):
+            for name, help_text, unit, key in (
+                ("device_power_cap_watts", "final per-device power cap", "W",
+                 "final_cap_watts"),
+                ("device_power_draw_watts", "mean per-device modelled draw",
+                 "W", "mean_draw_watts"),
+                ("device_power_throttle", "final per-device power throttle",
+                 "", "final_throttle"),
+            ):
+                yield ("gauge", name, help_text, unit, {"device": device},
+                       entry[key])
+        yield ("counter", "powercap_reapportion_total",
+               "governor windows that moved at least one device cap", "",
+               {"policy": power["policy"]}, power["reapportions"])
+        yield ("counter", "powercap_parked_device_windows_total",
+               "device-windows spent parked by the budget", "", {},
+               power["parked_device_windows"])
+        yield ("counter", "powercap_blocked_scaleups_total",
+               "autoscaler promotions the power budget vetoed", "", {},
+               power["power_blocked_scaleups"])
+    sdc = report.sdc
+    if sdc is not None:
+        yield ("counter", "sdc_injected_total",
+               "silent corruption events injected at the fleet tier", "", {},
+               sdc["injected"])
         for method, count in sorted(sdc["detected"].items()):
-            if count:
-                detected.inc(count, method=method)
-        served = metrics.counter(
-            "sdc_served_total",
-            "corrupted results that reached a client undetected",
-        )
-        if sdc["served_corrupted"]:
-            served.inc(sdc["served_corrupted"])
-        screens = metrics.counter(
-            "sdc_screens_total", "golden-vector screens executed"
-        )
-        if sdc["screens_run"]:
-            screens.inc(sdc["screens_run"])
-        audits = metrics.counter(
-            "sdc_audits_total", "dual-execution audits executed"
-        )
-        if sdc["audits_run"]:
-            audits.inc(sdc["audits_run"])
-        metrics.gauge(
-            "sdc_detection_latency_max_ms",
-            "worst injection-to-detection latency of caught events",
-            unit="ms",
-        ).set(sdc["max_detection_latency_ms"])
-        metrics.gauge(
-            "sdc_suspected_replicas",
-            "replicas under routing avoidance at run end",
-        ).set(len(sdc["suspected_final"]))
+            yield ("counter", "sdc_detected_total",
+                   "caught corruption events by method", "",
+                   {"method": method}, count)
+        for name, help_text, key in (
+            ("sdc_served_total",
+             "corrupted results that reached a client undetected",
+             "served_corrupted"),
+            ("sdc_screens_total", "golden-vector screens executed",
+             "screens_run"),
+            ("sdc_audits_total", "dual-execution audits executed",
+             "audits_run"),
+        ):
+            yield "counter", name, help_text, "", {}, sdc[key]
+        yield ("gauge", "sdc_detection_latency_max_ms",
+               "worst injection-to-detection latency of caught events", "ms",
+               {}, sdc["max_detection_latency_ms"])
+        yield ("gauge", "sdc_suspected_replicas",
+               "replicas under routing avoidance at run end", "", {},
+               len(sdc["suspected_final"]))
 
 
 @dataclass

@@ -151,18 +151,92 @@ class TestInvariantChecks:
         violations = _invariant("monotone-time")(scenario, report, None)
         assert any("beyond horizon" in v for v in violations)
 
-    def test_obs_consistency_catches_counter_drift(self):
+    @pytest.mark.parametrize(
+        "scenario, needle, drift",
+        [
+            (
+                "replica-kill", "fleet_failovers_total",
+                lambda metrics: metrics.counter(
+                    "fleet_failovers_total"
+                ).inc(41),
+            ),
+            (
+                "flash-crowd", "serving_shed_total",
+                lambda metrics: metrics.counter("serving_shed_total").inc(
+                    **metrics.get("serving_shed_total").label_sets()[0]
+                ),
+            ),
+            (
+                "power-cap-storm", "device_power_cap_watts{device=r0}",
+                lambda metrics: metrics.gauge("device_power_cap_watts").add(
+                    1.0, device="r0"
+                ),
+            ),
+            (
+                "silent-corruption-storm", "sdc_detected_total{method=abft}",
+                lambda metrics: metrics.counter("sdc_detected_total").inc(
+                    method="abft"
+                ),
+            ),
+            (
+                "replica-kill",
+                "fleet_requests_total{status=served,tenant=ghost}",
+                lambda metrics: metrics.counter("fleet_requests_total").inc(
+                    tenant="ghost", status="served"
+                ),
+            ),
+        ],
+        ids=["failovers", "shed", "device-cap", "sdc-detected", "ghost-tenant"],
+    )
+    def test_obs_consistency_catches_counter_drift(
+        self, scenario, needle, drift
+    ):
         from repro.obs import Observability
 
         obs = Observability()
-        result = run_scenario(SCENARIOS["replica-kill"], seed=0, obs=obs)
+        result = run_scenario(SCENARIOS[scenario], seed=0, obs=obs)
         assert result.passed  # consistent as produced
-        # now drift a counter behind the report's back
-        obs.metrics.counter("fleet_failovers_total", "").inc(41)
+        # now drift one series behind the report's back
+        drift(obs.metrics)
         violations = _invariant("obs-consistency")(
             result.scenario, result.report, obs.metrics
         )
-        assert any("fleet_failovers_total" in v for v in violations)
+        assert any(needle in v for v in violations), violations
+
+    def test_obs_consistency_reads_an_empty_admitted_run(self):
+        # An admitted run on an empty trace registers the class families
+        # with no series; the exporter and the invariant agree on that.
+        from repro.obs import Observability
+        from repro.serving.fleet import FleetManager
+
+        scenario = SCENARIOS["flash-crowd"]
+        obs = Observability()
+        manager = FleetManager(
+            list(scenario.tenants), config=scenario.fleet, obs=obs,
+            service_times_ns={"a": 1.0e6, "b": 5.0e6},
+            admission=scenario.admission, autoscaler=scenario.autoscaler,
+        )
+        report = manager.run([])
+        fleet_names = {
+            name for name in (m.name for m in obs.metrics.collect())
+            if name.startswith(("fleet_", "serving_", "autoscaler_"))
+        }
+        assert fleet_names == {
+            "fleet_availability", "fleet_failovers_total",
+            "fleet_healthy_replicas", "fleet_hedged_requests_total",
+            "fleet_min_healthy_replicas", "fleet_promotions_total",
+            "fleet_quarantines_total", "fleet_reintegrations_total",
+            "fleet_repair_failures_total", "fleet_repairs_total",
+            "fleet_replicas", "fleet_requests_total",
+            "fleet_retirements_total", "serving_backpressure_peak",
+            "serving_brownout_level", "serving_class_availability",
+            "serving_class_p99_ms", "serving_shed_total",
+            "autoscaler_replicas", "autoscaler_scale_events_total",
+        }
+        assert obs.metrics.get("serving_class_p99_ms").samples() == []
+        assert _invariant("obs-consistency")(
+            scenario, report, obs.metrics
+        ) == []
 
     def test_failed_suite_reports_violations_and_fails(self):
         # an impossible floor makes the baseline scenario fail cleanly
@@ -201,6 +275,26 @@ class TestChaosCli:
             main(["chaos", "--routing", "heap"])
         assert exit_info.value.code == 2
         assert "--routing" in capsys.readouterr().err
+
+    def test_profile_fleet_tables_gate_on_both_scenarios(self, capsys):
+        from repro.cli import _profile_fleet
+        from repro.obs import Observability
+
+        assert _profile_fleet(Observability()) == 0
+        out = capsys.readouterr().out
+        for row in (
+            "fleet_repair_failures_total", "fleet_retirements_total",
+            "fleet_availability{a}", "fleet_power_cap_watts",
+        ):
+            assert row in out
+        assert "obs-consistency" not in out
+        # a hub that already holds fleet series fails replica-kill
+        stale = Observability()
+        stale.metrics.counter("fleet_failovers_total").inc(3)
+        assert _profile_fleet(stale) == 1
+        assert "replica-kill: obs-consistency: fleet_failovers_total" in (
+            capsys.readouterr().out
+        )
 
     def test_profile_fleet_prints_fleet_gauges(self, capsys):
         assert main(["profile", "resnet50", "--fleet"]) == 0

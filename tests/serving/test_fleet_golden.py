@@ -13,6 +13,7 @@ change.
 import importlib.util
 import itertools
 import json
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -70,42 +71,49 @@ LAUNCH_SECTIONS = ("Runtime", "Caches", "Simulator", "Faults", "Power (")
 FLEET_SECTIONS = ("Fleet (", "Fleet power governor", "SDC defense")
 
 
-def _catalogue() -> dict[str, dict[str, str]]:
+def _catalogue() -> dict[str, dict[str, list[str]]]:
     """Metrics catalogue of docs/observability.md: heading -> {metric:
-    meaning}."""
+    [kind, labels, meaning]}."""
     text = (REPO_ROOT / "docs" / "observability.md").read_text()
     body = text.split("## Metrics catalogue", 1)[1].split("\n## ", 1)[0]
-    sections: dict[str, dict[str, str]] = {}
-    rows: dict[str, str] = {}
+    sections: dict[str, dict[str, list[str]]] = {}
+    rows: dict[str, list[str]] = {}
     for line in body.splitlines():
         if line.startswith("### "):
             rows = sections[line[4:]] = {}
         elif line.startswith("| `"):
             cells = [cell.strip() for cell in line.strip("|").split("|")]
-            rows[cells[0].strip("`")] = cells[-1]
+            rows[cells[0].strip("`")] = cells[1:]
     return sections
 
 
 def test_fleet_metric_catalogue_matches_the_all_features_cell():
     """The fleet, power-governor and SDC tables plus the FleetManager
     admission/autoscaler rows name exactly what a fleet with every
-    feature attached exports."""
+    feature attached exports, with the kind and label names it
+    registers."""
     documented: set[str] = set()
     launch: set[str] = set()
-    fleet: set[str] = set()
+    fleet: dict[str, list[str]] = {}
     for heading, rows in _catalogue().items():
         documented |= set(rows)
         if heading.startswith(LAUNCH_SECTIONS):
             launch |= set(rows)
         elif heading.startswith(FLEET_SECTIONS):
-            fleet |= set(rows)
+            fleet.update(rows)
         elif heading.startswith("Admission + autoscaling"):
-            fleet |= {
-                name for name, meaning in rows.items()
-                if "InferenceServer" not in meaning
-            }
+            fleet.update(
+                (name, cells) for name, cells in rows.items()
+                if "InferenceServer" not in cells[-1]
+            )
     golden = json.loads(fleet_golden.GOLDEN.read_text())
     cell = golden[fleet_golden.feature_key(fleet_golden.FEATURES)]
-    registered = {metric["name"] for metric in cell["metrics"]}
-    assert registered <= documented
-    assert registered - launch == fleet
+    registered = {metric["name"]: metric for metric in cell["metrics"]}
+    assert set(registered) <= documented
+    assert set(registered) - launch == set(fleet)
+    for name, (kind, labels, _meaning) in fleet.items():
+        metric = registered[name]
+        assert kind == metric["kind"], name
+        assert set(re.findall(r"`([^`]+)`", labels)) == {
+            label for sample in metric["samples"] for label in sample["labels"]
+        }, name
