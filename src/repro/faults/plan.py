@@ -17,6 +17,9 @@ Rates are per *event* at the component's natural granularity:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
+
+from repro.core.errors import reject_non_finite
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,11 @@ class FaultPlan:
     """Recovery latency of a lost synchronization event."""
 
     def __post_init__(self) -> None:
-        for spec in fields(self):
-            if not spec.name.endswith("_rate"):
-                continue
-            rate = getattr(self, spec.name)
+        reject_non_finite(self)
+        for name in RATE_FIELDS:
+            rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{spec.name} must be in [0, 1], got {rate}")
+                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.dma_retry_limit < 0:
             raise ValueError(f"dma_retry_limit must be >= 0, got {self.dma_retry_limit}")
         for name in ("ecc_retry_ns", "watchdog_timeout_ns", "sync_timeout_ns"):
@@ -104,14 +106,14 @@ class FaultPlan:
         if any(core < 0 for core in self.sdc_cores):
             raise ValueError(f"sdc_cores must be >= 0, got {self.sdc_cores}")
 
-    @property
+    @cached_property
     def enabled(self) -> bool:
-        """True when any fault rate is non-zero."""
-        return any(
-            getattr(self, spec.name) > 0.0
-            for spec in fields(self)
-            if spec.name.endswith("_rate")
-        )
+        """True when any fault rate is non-zero.
+
+        Computed once per plan: the plan is frozen, and
+        ``dataclasses.replace`` builds a new instance with its own cache.
+        """
+        return any(getattr(self, name) > 0.0 for name in RATE_FIELDS)
 
     # -- aggregate views the serving layer plans with -----------------------
 
@@ -145,3 +147,9 @@ class FaultPlan:
             * (1.0 - self.sdc_sparse_rate)
         )
         return 1.0 - survive
+
+
+#: Names of every per-event fault rate field, in declaration order.
+RATE_FIELDS = tuple(
+    spec.name for spec in fields(FaultPlan) if spec.name.endswith("_rate")
+)

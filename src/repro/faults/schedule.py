@@ -17,16 +17,12 @@ scenarios byte-for-byte reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.core.errors import ReproRuntimeError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import RATE_FIELDS, FaultPlan
 
 __all__ = ["FaultSchedule", "StormPhase"]
-
-_RATE_FIELDS = tuple(
-    spec.name for spec in fields(FaultPlan) if spec.name.endswith("_rate")
-)
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class FaultSchedule:
         if not live:
             return self.base
         overrides: dict[str, float] = {}
-        for name in _RATE_FIELDS:
+        for name in RATE_FIELDS:
             survive = 1.0 - getattr(self.base, name)
             for phase in live:
                 survive *= 1.0 - getattr(phase.plan, name) * phase.intensity(

@@ -170,6 +170,9 @@ class AdmissionController:
             )
             if cls.shed_priority > 0
         )
+        self._limits = tuple(
+            (cls.name, cls.queue_limit) for cls in policy.classes
+        )
 
     def reset(self) -> None:
         self.brownout_level = 0
@@ -182,9 +185,8 @@ class AdmissionController:
     def backpressure(self, depths: dict[str, int]) -> float:
         """Worst per-class queue fullness in [0, 1]: max(depth/limit)."""
         worst = 0.0
-        for cls in self.policy.classes:
-            depth = depths.get(cls.name, 0)
-            worst = max(worst, min(1.0, depth / cls.queue_limit))
+        for name, limit in self._limits:
+            worst = max(worst, min(1.0, depths.get(name, 0) / limit))
         return worst
 
     def update(self, backpressure: float) -> int:

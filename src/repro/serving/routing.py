@@ -66,7 +66,6 @@ from heapq import heappop, heappush
 
 __all__ = [
     "Backlog",
-    "DepthView",
     "FleetRouter",
     "HeapRouter",
     "PrunedFinishes",
@@ -462,26 +461,13 @@ class Backlog:
                 entry = self.classes[request.slo_class] = PrunedFinishes()
             entry.push(finish)
 
-    def class_depths(self, now: float) -> "DepthView":
-        return DepthView(self.classes, now)
+    def class_depths(self, now: float) -> dict[str, int]:
+        """Queued-or-in-flight count per SLO class seen so far at ``now``.
 
-
-class DepthView:
-    """Lazy per-class depth mapping over :class:`PrunedFinishes`.
-
-    Duck-types the ``depths.get(name, default)`` reads the admission
-    controller performs, computing each class's depth only when asked —
-    the fleet no longer rebuilds a full depth dict per arrival/tick.
-    """
-
-    __slots__ = ("_finishes", "_now")
-
-    def __init__(self, finishes: dict[str, PrunedFinishes], now: float) -> None:
-        self._finishes = finishes
-        self._now = now
-
-    def get(self, name: str, default: int = 0) -> int:
-        entry = self._finishes.get(name)
-        if entry is None:
-            return default
-        return entry.depth(self._now)
+        Every reader (admission's backpressure) reads every class, so the
+        depths are computed at once into a plain dict.
+        """
+        depths = {}
+        for name, entry in self.classes.items():
+            depths[name] = entry.depth(now)
+        return depths

@@ -48,13 +48,15 @@ server.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from repro.caching import MEASUREMENT_CACHE, MeasurementCache
 from repro.core.accelerator import Accelerator
-from repro.core.errors import ReproRuntimeError
+from repro.core.errors import ReproRuntimeError, reject_non_finite
 from repro.faults.plan import FaultPlan
 from repro.models.zoo import build
 from repro.perfmodel.calibration import calibration
@@ -80,6 +82,7 @@ class TenantConfig:
     waiting-requests-only batching bit-identically."""
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.coalesce_window_ms < 0:
@@ -122,6 +125,7 @@ class RasConfig:
         def reject(message: str) -> None:
             raise ReproRuntimeError(f"RasConfig: {message}")
 
+        reject_non_finite(self)
         if self.max_retries < 0:
             reject(
                 f"max_retries must be >= 0 (0 disables retries), "
@@ -198,8 +202,8 @@ class TenantHealth:
 
     def record_success(self) -> None:
         """A clean service clears every live group's failure streak."""
-        for slot in range(len(self._failures)):
-            self._failures[slot] = 0
+        if any(self._failures):
+            self._failures = [0] * len(self._failures)
 
     def record_failure(self, slot: int) -> bool:
         """Attribute one fatal fault; returns True when the breaker trips
@@ -260,6 +264,61 @@ class CompletedRequest:
     @property
     def queue_ms(self) -> float:
         return (self.start_ns - self.request.arrival_ns) / 1e6
+
+
+class Completions:
+    """Completed requests as parallel columns, in completion order.
+
+    A served batch appends each column once, so replaying a trace builds
+    no object per request and leaves the cyclic garbage collector nothing
+    new to track. Iterating yields :class:`CompletedRequest` rows.
+    """
+
+    __slots__ = (
+        "requests", "start_ns", "finish_ns", "batch_size", "status",
+        "retries", "degraded",
+    )
+
+    def __init__(self) -> None:
+        self.requests: list[Request] = []
+        self.start_ns: list[float] = []
+        self.finish_ns: list[float] = []
+        self.batch_size: list[int] = []
+        self.status: list[str] = []
+        self.retries: list[int] = []
+        self.degraded: list[bool] = []
+
+    def add(
+        self,
+        batch: list[Request],
+        start_ns: float,
+        finish_ns: float,
+        statuses: list[str],
+        retries: int,
+        degraded: bool,
+    ) -> None:
+        """One served batch; ``statuses`` holds each member's final status."""
+        size = len(batch)
+        self.requests += batch
+        self.status += statuses
+        self.start_ns += [start_ns] * size
+        self.finish_ns += [finish_ns] * size
+        self.batch_size += [size] * size
+        self.retries += [retries] * size
+        self.degraded += [degraded] * size
+
+    def extend(self, other: "Completions") -> None:
+        for name in self.__slots__:
+            getattr(self, name).extend(getattr(other, name))
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def __iter__(self) -> Iterator[CompletedRequest]:
+        return map(
+            CompletedRequest, self.requests, self.start_ns, self.finish_ns,
+            self.batch_size, self.status, self.retries, self.degraded,
+        )
 
 
 @dataclass
@@ -563,10 +622,7 @@ class InferenceServer:
         self._degraded_times: dict[tuple[str, int], float] = dict(
             degraded_service_times_ns or {}
         )
-
-    @property
-    def _injecting(self) -> bool:
-        return self.fault_plan is not None and self.fault_plan.enabled
+        self._odds: dict[int, tuple[float, float]] = {}
 
     # -- service-time resolution ---------------------------------------------
 
@@ -601,17 +657,28 @@ class InferenceServer:
 
     # -- fault draws -----------------------------------------------------------
 
-    def _attempt_outcome(self, rng: random.Random, batch: int) -> str:
-        """Outcome of one service attempt: 'ok', 'transient' or 'fatal'."""
-        plan = self.fault_plan
-        events = self.ras.transfers_per_request * batch
-        p_fatal = 1.0 - (1.0 - plan.fatal_event_rate) ** events
-        p_transient = 1.0 - (1.0 - plan.transient_event_rate) ** events
-        if p_fatal > 0.0 and rng.random() < p_fatal:
-            return "fatal"
-        if p_transient > 0.0 and rng.random() < p_transient:
-            return "transient"
-        return "ok"
+    def attempt_odds(self, batch_size: int) -> tuple[float, float]:
+        """``(p_fatal, p_transient)`` of one service attempt of a batch.
+
+        Each compounds the plan's per-event rate over
+        ``transfers_per_request * batch_size`` hardware events. Without a
+        plan, or with zero fatal and transient rates, both are 0 and an
+        attempt draws nothing. Resolved once per batch size.
+        """
+        odds = self._odds.get(batch_size)
+        if odds is None:
+            plan = self.fault_plan
+            fatal, transient = (
+                (plan.fatal_event_rate, plan.transient_event_rate)
+                if plan is not None
+                else (0.0, 0.0)
+            )
+            events = self.ras.transfers_per_request * batch_size
+            odds = self._odds[batch_size] = (
+                1.0 - (1.0 - fatal) ** events,
+                1.0 - (1.0 - transient) ** events,
+            )
+        return odds
 
     def _serve_batch(
         self,
@@ -627,20 +694,18 @@ class InferenceServer:
         add exponential backoff then replay, fatal faults fail the batch
         and feed the circuit breaker.
         """
+        p_fatal, p_transient = self.attempt_odds(batch_size)
         service = batch_service_time_ns(base_ns, batch_size)
         now = start_ns
         retries = 0
         while True:
             now += service
-            if not self._injecting:
-                return now, "ok", retries
-            outcome = self._attempt_outcome(rng, batch_size)
-            if outcome == "ok":
-                health.record_success()
-                return now, "ok", retries
-            if outcome == "fatal":
+            if p_fatal > 0.0 and rng.random() < p_fatal:
                 health.record_failure(rng.randrange(health.available))
                 return now, "failed", retries
+            if not (p_transient > 0.0 and rng.random() < p_transient):
+                health.record_success()
+                return now, "ok", retries
             retries += 1
             if retries > self.ras.max_retries:
                 return now, "failed", retries
@@ -661,15 +726,12 @@ class InferenceServer:
         plan seed on every call).
         """
         ctl = self._admission_ctl
-        queues = (
-            [
-                ([r for r in trace if r.tenant == name], name)
-                for name in self.tenants
-            ]
-            if self.isolated
-            else [(trace, "shared")]
-        )
-        completed: list[CompletedRequest] = []
+        if self.isolated:
+            by_tenant = _by_tenant(trace, self.tenants, attrgetter("tenant"))
+            queues = [(mine, name) for name, mine in by_tenant.items()]
+        else:
+            queues = [(trace, "shared")]
+        completed = Completions()
         shed: list[tuple[Request, str]] = []
         brownout_level, peak_backpressure = 0, 0.0
         for queue_trace, rng_label in queues:
@@ -691,7 +753,7 @@ class InferenceServer:
 
     def _emit_observability(
         self,
-        completed: list[CompletedRequest],
+        completed: Completions,
         shed: list[tuple[Request, str]],
         reports: dict[str, TenantReport],
         brownout_level: int,
@@ -866,7 +928,7 @@ class InferenceServer:
 
     def _run_queue(
         self, trace: list[Request], rng_label: str
-    ) -> tuple[list[CompletedRequest], list[tuple[Request, str]]]:
+    ) -> tuple[Completions, list[tuple[Request, str]]]:
         """Serve one FIFO queue in arrival order.
 
         Isolated mode runs one queue per tenant slice (``trace`` is that
@@ -887,7 +949,10 @@ class InferenceServer:
         # Bounded depth tracking: maintained only for the admission path
         # that actually reads it, pruned as arrivals move forward.
         backlog = Backlog(self.tenants, self.ras, ctl)
-        completed: list[CompletedRequest] = []
+        push, tenant_finishes = backlog.push, backlog.tenants
+        deadline_status = self.ras.deadline_status
+        queue_full = self.ras.queue_full
+        completed = Completions()
         shed: list[tuple[Request, str]] = []
         served = [False] * len(trace)
         free_at = 0.0
@@ -907,7 +972,7 @@ class InferenceServer:
                 if not decision.admitted:
                     shed.append((head, decision.reason))
                     continue
-            elif self.ras.queue_full(backlog.tenants[head.tenant], now):
+            elif queue_full(tenant_finishes[head.tenant], now):
                 shed.append((head, "queue-full"))
                 continue
             start = max(now, free_at)
@@ -919,16 +984,13 @@ class InferenceServer:
             finish, status, retries = self._serve_batch(
                 len(batch), start, base, health, rng
             )
+            completed.add(
+                batch, start, finish,
+                [deadline_status(status, request, finish) for request in batch],
+                retries, degraded,
+            )
             for request in batch:
-                completed.append(
-                    CompletedRequest(
-                        request=request, start_ns=start, finish_ns=finish,
-                        batch_size=len(batch),
-                        status=self.ras.deadline_status(status, request, finish),
-                        retries=retries, degraded=degraded,
-                    )
-                )
-                backlog.push(request, finish)
+                push(request, finish)
             free_at = finish
         return completed, shed
 
@@ -936,60 +998,81 @@ class InferenceServer:
 
     def _report(
         self,
-        completed: list[CompletedRequest],
+        completed: Completions,
         trace: list[Request],
         shed: list[tuple[Request, str]] | None = None,
     ) -> dict[str, TenantReport]:
         shed = shed or []
         # Throughput horizon: the run lasts until the last completion, not
         # the last arrival (which overstates throughput for bursty traces).
-        horizon_ns = max((c.finish_ns for c in completed), default=0.0)
+        horizon_ns = max(completed.finish_ns, default=0.0)
         if horizon_ns <= 0.0:
             horizon_ns = max((r.arrival_ns for r in trace), default=0.0) or 1.0
+        requests = completed.requests
+        arrival_ns = np.asarray([r.arrival_ns for r in requests], dtype=float)
+        finish_ns = np.asarray(completed.finish_ns, dtype=float)
+        latency_ms = (finish_ns - arrival_ns) / 1e6
+        ok = np.asarray([s == "ok" for s in completed.status], dtype=bool)
+        retried = np.asarray(completed.retries, dtype=int) > 0
+        degraded = np.asarray(completed.degraded, dtype=bool)
+        batch_size = np.asarray(completed.batch_size, dtype=int)
+        tenant_of = np.asarray([r.tenant for r in requests], dtype=object)
+        shed_by = _by_tenant(shed, self.tenants, lambda entry: entry[0].tenant)
         reports = {}
         for name, tenant in self.tenants.items():
-            mine = [c for c in completed if c.request.tenant == name]
-            ok = [c for c in mine if c.ok]
-            failed = len(mine) - len(ok)
-            retried = sum(1 for c in mine if c.retries > 0)
-            degraded = sum(1 for c in mine if c.degraded)
-            my_shed = [(r, reason) for r, reason in shed if r.tenant == name]
+            rows = np.flatnonzero(tenant_of == name)
+            served = rows[ok[rows]]
+            my_shed = shed_by[name]
             shed_reasons: dict[str, int] = {}
             for _, reason in my_shed:
                 shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
             by_class: dict[str, SloClassStats] = {}
             if self._admission_ctl is not None:
                 book = ClassBook()
-                for done in mine:
+                for row, latency, served_ok in zip(
+                    rows.tolist(), latency_ms[rows].tolist(), ok[rows].tolist()
+                ):
                     book.settle(
-                        done.request.slo_class,
-                        done.latency_ms if done.ok else None,
+                        requests[row].slo_class, latency if served_ok else None
                     )
                 for request, reason in my_shed:
                     book.shed(request.slo_class, reason)
                 by_class = book.finish()
-            latencies = np.asarray([c.latency_ms for c in ok])
+            latencies = latency_ms[served]
             p50, p95, p99 = tail_percentiles(latencies)
             violations = 0
             if tenant.sla_ms is not None:
                 violations = int((latencies > tenant.sla_ms).sum())
             reports[name] = TenantReport(
                 tenant=name,
-                completed=len(ok),
-                throughput_per_s=len(ok) * 1e9 / horizon_ns,
+                completed=len(served),
+                throughput_per_s=len(served) * 1e9 / horizon_ns,
                 p50_ms=p50,
                 p95_ms=p95,
                 p99_ms=p99,
                 mean_batch=(
-                    float(np.mean([c.batch_size for c in ok])) if ok else 0.0
+                    float(np.mean(batch_size[served])) if len(served) else 0.0
                 ),
                 sla_ms=tenant.sla_ms,
                 sla_violations=violations,
-                failed=failed,
-                retried=retried,
+                failed=len(rows) - len(served),
+                retried=int(retried[rows].sum()),
                 shed=len(my_shed),
-                degraded=degraded,
+                degraded=int(degraded[rows].sum()),
                 shed_reasons=shed_reasons,
                 by_class=by_class,
             )
         return reports
+
+
+def _by_tenant(items, names, tenant_of) -> dict[str, list]:
+    """``items`` split per tenant name in one pass, keeping their order.
+
+    Items of a tenant not in ``names`` are dropped.
+    """
+    groups: dict[str, list] = {name: [] for name in names}
+    for item in items:
+        mine = groups.get(tenant_of(item))
+        if mine is not None:
+            mine.append(item)
+    return groups

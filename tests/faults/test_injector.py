@@ -1,5 +1,7 @@
 """Unit tests for FaultPlan / FaultInjector (determinism, hooks, records)."""
 
+import dataclasses
+
 import pytest
 
 from repro.faults import (
@@ -15,6 +17,7 @@ from repro.faults import (
     UncorrectableEccError,
 )
 from repro.core.errors import ReproRuntimeError
+from repro.faults.plan import RATE_FIELDS
 
 
 class TestFaultPlan:
@@ -34,6 +37,45 @@ class TestFaultPlan:
             FaultPlan(core_slowdown_factor=0.5)
         with pytest.raises(ValueError):
             FaultPlan(dma_retry_limit=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ecc_retry_ns": float("nan")},
+            {"core_slowdown_factor": float("inf")},
+            {"dma_corrupt_rate": float("nan")},
+            {"watchdog_timeout_ns": float("inf")},
+            {"sdc_scale_factor": float("nan")},
+        ],
+    )
+    def test_non_finite_fields_rejected(self, kwargs):
+        # NaN passes every ordered range check, so it is caught first.
+        with pytest.raises(ReproRuntimeError, match=next(iter(kwargs))):
+            FaultPlan(**kwargs)
+
+    @pytest.mark.parametrize("name", RATE_FIELDS)
+    def test_enabled_matches_the_fields_walk(self, name):
+        def walk(plan):
+            return any(
+                getattr(plan, spec.name) > 0.0
+                for spec in dataclasses.fields(plan)
+                if spec.name.endswith("_rate")
+            )
+
+        plan = FaultPlan(**{name: 0.25})
+        assert plan.enabled is walk(plan) is True
+        # replace() builds a new plan: no cached value is carried across
+        cleared = dataclasses.replace(plan, **{name: 0.0})
+        assert cleared.enabled is walk(cleared) is False
+        assert dataclasses.replace(cleared, **{name: 0.5}).enabled is True
+
+    def test_rate_fields_are_every_rate(self):
+        assert RATE_FIELDS == tuple(
+            spec.name
+            for spec in dataclasses.fields(FaultPlan)
+            if spec.name.endswith("_rate")
+        )
+        assert len(RATE_FIELDS) == 10
 
     def test_aggregate_rates(self):
         plan = FaultPlan(dma_corrupt_rate=0.1, ecc_ce_rate=0.1)

@@ -6,6 +6,10 @@ circuit breaking with a bounded SLA violation rate and exact accounting
 of every failed / retried / shed / degraded request.
 """
 
+import dataclasses
+import json
+from unittest import mock
+
 import pytest
 
 from repro.faults import FaultPlan
@@ -62,6 +66,71 @@ class TestZeroFaultDefault:
             assert report.shed == 0
             assert report.degraded == 0
             assert report.availability == 1.0
+
+
+def _json(reports):
+    return json.dumps(
+        {name: dataclasses.asdict(r) for name, r in reports.items()},
+        sort_keys=True,
+    )
+
+
+class TestAttemptPath:
+    """Attempt outcomes come from per-batch-size odds, not a plan walk."""
+
+    @pytest.mark.parametrize("isolated", [True, False])
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            {"sdc_gemm_rate": 0.3, "sdc_dma_rate": 0.2, "sdc_sparse_rate": 0.1},
+            {"core_slowdown_rate": 0.5},
+            {"sync_loss_rate": 0.5},
+        ],
+    )
+    def test_plans_without_transient_or_fatal_rates_match_no_plan(
+        self, isolated, rates
+    ):
+        # Such a plan is enabled, yet an attempt draws nothing and
+        # changes no health state: the reports equal the plan-less run.
+        plan = FaultPlan(seed=7, **rates)
+        assert plan.enabled
+        trace = _trace(rate_a=900.0)
+        plain = _server(isolated=isolated).run(trace)
+        planned = _server(plan=plan, isolated=isolated).run(trace)
+        assert _json(planned) == _json(plain)
+
+    def test_odds_compound_the_plan_rates_per_batch_size(self):
+        plan = TestFaultCampaign.PLAN
+        ras = RasConfig(transfers_per_request=16)
+        server = _server(plan=plan, ras=ras)
+        for batch in range(1, 9):
+            events = ras.transfers_per_request * batch
+            assert server.attempt_odds(batch) == (
+                1 - (1 - plan.fatal_event_rate) ** events,
+                1 - (1 - plan.transient_event_rate) ** events,
+            )
+
+    def test_no_plan_has_zero_odds(self):
+        server = _server()
+        assert [server.attempt_odds(b) for b in (1, 4)] == [(0.0, 0.0)] * 2
+
+    def test_plan_walks_do_not_grow_with_the_trace(self):
+        # Guard against re-deriving the plan per attempt: the number of
+        # dataclasses.fields walks on the plan path during a run must not
+        # depend on how many requests the run serves.
+        counts = []
+        for duration in (1.0, 4.0):
+            trace = _trace(rate_a=800.0, rate_b=200.0, duration=duration)
+            server = _server(plan=TestFaultCampaign.PLAN, ras=RasConfig())
+            with mock.patch(
+                "repro.faults.plan.fields", wraps=dataclasses.fields
+            ) as walk:
+                reports = server.run(trace)
+            assert sum(r.retried for r in reports.values()) > 0
+            counts.append((len(trace), walk.call_count))
+        (short, short_walks), (long, long_walks) = counts
+        assert 900 < short and 3600 < long
+        assert short_walks == long_walks
 
 
 class TestFaultCampaign:

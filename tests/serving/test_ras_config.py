@@ -56,6 +56,41 @@ class TestValidation:
         # the offending value is echoed back
         assert str(list(kwargs.values())[0]) in message
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"backoff_factor": float("nan")},
+            {"retry_backoff_ms": float("nan")},
+            {"retry_backoff_ms": float("inf")},
+            {"deadline_ms": float("nan")},
+            {"deadline_ms": float("inf")},
+        ],
+    )
+    def test_non_finite_field_rejected(self, kwargs):
+        # NaN slips past every ordered range check; inf poisons finish times.
+        with pytest.raises(ReproRuntimeError, match="must be finite") as excinfo:
+            RasConfig(**kwargs)
+        assert str(excinfo.value).startswith("RasConfig:")
+        assert next(iter(kwargs)) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sla_ms": float("nan")},
+            {"coalesce_window_ms": float("nan")},
+            {"coalesce_window_ms": float("inf")},
+        ],
+    )
+    def test_non_finite_tenant_field_rejected(self, kwargs):
+        with pytest.raises(ReproRuntimeError, match=next(iter(kwargs))):
+            TenantConfig("a", "resnet50", groups=1, **kwargs)
+
+    def test_tenant_range_errors_keep_their_type(self):
+        with pytest.raises(ValueError, match="coalesce_window_ms"):
+            TenantConfig("a", "resnet50", groups=1, coalesce_window_ms=-1.0)
+        with pytest.raises(ValueError, match="max_batch"):
+            TenantConfig("a", "resnet50", groups=1, max_batch=0)
+
     def test_boundary_values_accepted(self):
         RasConfig(
             max_retries=0, retry_backoff_ms=0.0, backoff_factor=1.0,

@@ -32,13 +32,16 @@ import pytest
 
 from repro.chaos import SCENARIOS, run_scenario, scenario_names
 from repro.serving import fleet
+from repro.serving.admission import AdmissionPolicy
 from repro.serving.routing import (
-    DepthView,
+    Backlog,
     HeapRouter,
     PrunedFinishes,
     ReferenceRouter,
     ReplicaStatus,
 )
+from repro.serving.server import RasConfig
+from repro.serving.workload import Request
 
 
 class FakeReplica:
@@ -343,15 +346,15 @@ def test_pruned_finishes_boundary_is_exclusive():
     assert len(pruned) == 0
 
 
-def test_depth_view_reads_like_a_mapping():
-    finishes = {"vision": PrunedFinishes(), "nlp": PrunedFinishes()}
-    finishes["vision"].push(50.0)
-    finishes["vision"].push(60.0)
-    view = DepthView(finishes, 40.0)
-    assert view.get("vision", 0) == 2
-    assert view.get("nlp", 0) == 0
-    assert view.get("absent", 0) == 0
-    assert DepthView(finishes, 55.0).get("vision", 0) == 1
+def test_class_depths_reads_like_a_mapping():
+    backlog = Backlog(["a"], RasConfig(), AdmissionPolicy())
+    request = Request(0, "a", 0.0, slo_class="vision")
+    backlog.push(request, 50.0)
+    backlog.push(request, 60.0)
+    depths = backlog.class_depths(40.0)
+    assert depths.get("vision", 0) == 2
+    assert depths.get("absent", 0) == 0
+    assert backlog.class_depths(55.0) == {"vision": 1}
 
 
 # ---------------------------------------------------------------------------

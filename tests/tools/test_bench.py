@@ -153,4 +153,5 @@ class TestOutputs:
         assert bench.validate(report, SCHEMA) == []
         names = {b["name"] for b in report["benchmarks"]}
         assert {"micro.gemm_fastpath", "micro.rle_codec",
-                "e2e.resnet50", "serving.multitenant"} <= names
+                "e2e.resnet50", "serving.multitenant",
+                "serving.server_qos"} <= names

@@ -14,6 +14,10 @@ schema-versioned ``BENCH_<n>.json`` report (see
 - **serving** — a two-tenant :class:`~repro.serving.InferenceServer`
   scenario, plus the measurement-cache guarantee that a second server over
   the same tenant set performs zero additional simulator measurements.
+- **serving.server_qos** — one fault-injected two-tenant trace replayed
+  through an isolated and a shared single-device server: per-request
+  host cost (reported), and each server's second replay must equal its
+  first (gated).
 - **serving.fleet_scale** — the fleet request loop at 16/256(/2048)
   devices over one fixed Poisson + flash-crowd trace: per-request cost
   must stay near-flat as the fleet grows (O(log N) routing), and the
@@ -235,6 +239,75 @@ def bench_serving(quick: bool) -> dict:
     return {
         "name": "serving.multitenant",
         "wall_seconds": build_s + run_s + rebuild_s,
+        "metrics": metrics,
+    }
+
+
+def bench_server_qos(quick: bool) -> dict:
+    """The single-device server's request loop under a RAS fault plan.
+
+    One two-tenant trace with CRC-caught DMA transients, rare fatal
+    aborts, retries and a queue-depth limit, replayed through an isolated
+    and a shared deployment, twice each. ``per_request_cost_us_<mode>``
+    and ``run_wall_seconds_<mode>`` (the faster replay) are reported, not
+    gated; ``rerun_identical`` (each server's second replay reproduces
+    its first reports exactly) is the gated invariant.
+    """
+    from dataclasses import asdict
+
+    from repro.faults import FaultPlan
+    from repro.serving import (
+        InferenceServer,
+        RasConfig,
+        TenantConfig,
+        TrafficPattern,
+        generate_trace,
+    )
+
+    tenants = [
+        TenantConfig("vision", "resnet50", groups=4, max_batch=4, sla_ms=10.0),
+        TenantConfig("nlp", "bert_large", groups=4, max_batch=2, sla_ms=60.0),
+    ]
+    patterns = [
+        TrafficPattern("vision", rate_per_s=400.0, burstiness=2.0),
+        TrafficPattern("nlp", rate_per_s=80.0),
+    ]
+    plan = FaultPlan(seed=3, dma_corrupt_rate=2e-3, dma_abort_rate=2e-5)
+    ras = RasConfig(max_retries=2, queue_depth_limit=64)
+    duration_s = 5.0 if quick else 30.0
+    trace = generate_trace(patterns, duration_s=duration_s, seed=3)
+
+    def as_json(reports) -> str:
+        return json.dumps(
+            {name: asdict(report) for name, report in reports.items()},
+            sort_keys=True,
+        )
+
+    metrics: dict[str, float] = {"trace_requests": float(len(trace))}
+    wall_total = 0.0
+    identical = True
+    for mode in ("isolated", "shared"):
+        server = InferenceServer(
+            tenants, isolated=mode == "isolated", fault_plan=plan, ras=ras
+        )
+        walls, replays = [], []
+        for _ in range(2):
+            start = time.perf_counter()
+            replays.append(server.run(trace))
+            walls.append(time.perf_counter() - start)
+        first, second = replays
+        identical &= as_json(first) == as_json(second)
+        run_s = min(walls)
+        wall_total += sum(walls)
+        metrics[f"run_wall_seconds_{mode}"] = run_s
+        metrics[f"per_request_cost_us_{mode}"] = run_s / len(trace) * 1e6
+        metrics[f"retried_{mode}"] = float(
+            sum(report.retried for report in first.values())
+        )
+    metrics["rerun_identical"] = 1.0 if identical else 0.0
+    return {
+        "name": "serving.server_qos",
+        "wall_seconds": wall_total,
         "metrics": metrics,
     }
 
@@ -587,6 +660,7 @@ def run_benchmarks(quick: bool) -> dict:
     benchmarks = [bench_gemm(quick), bench_rle(quick)]
     benchmarks += [bench_e2e(model, quick) for model in models]
     benchmarks.append(bench_serving(quick))
+    benchmarks.append(bench_server_qos(quick))
     benchmarks.append(bench_powercap(quick))
     benchmarks.append(bench_sdc_overhead(quick))
     benchmarks.append(bench_fleet_scale(quick))
