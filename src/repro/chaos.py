@@ -75,6 +75,8 @@ __all__ = [
 #: suite fast and byte-stable; pass ``measured=True`` to run_scenario /
 #: run_suite to use memoized detailed-simulator measurements instead.
 DEFAULT_SERVICE_TIMES_NS: dict[str, float] = {"a": 1.0e6, "b": 5.0e6}
+#: Autoscaler-convergence bound: up/down direction flips allowed.
+MAX_SCALE_REVERSALS = 2
 
 _DEFAULT_TENANTS = (
     TenantConfig("a", "resnet50", groups=2, max_batch=1, sla_ms=50.0),
@@ -118,8 +120,6 @@ class ChaosScenario:
     overload_multipliers: tuple[float, ...] = ()
     """Offered-load multipliers for the shed-monotonicity sweep: the shed
     rate must be non-decreasing across these (run in order)."""
-    max_scale_reversals: int = 2
-    """Autoscaler-convergence bound: up/down direction flips allowed."""
     powercap: PowerCapConfig | None = None
     """Fleet power governor attached to the run (None = no power
     capping; the report then has no ``power`` section and stays
@@ -426,10 +426,10 @@ def _check_autoscaler_convergence(scenario, report, registry) -> list[str]:
     if scenario.autoscaler is None:
         return []
     violations = []
-    if report.autoscale_reversals > scenario.max_scale_reversals:
+    if report.autoscale_reversals > MAX_SCALE_REVERSALS:
         violations.append(
             f"autoscaler-convergence: {report.autoscale_reversals} "
-            f"up/down reversals > allowed {scenario.max_scale_reversals} "
+            f"up/down reversals > allowed {MAX_SCALE_REVERSALS} "
             f"({report.autoscale_ups} ups, {report.autoscale_downs} downs)"
         )
     return violations

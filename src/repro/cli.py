@@ -293,19 +293,15 @@ def _cmd_profile(args) -> int:
     print()
 
     # Engine-core table: dispatch + fast-path accounting the executor
-    # exported after the launch (docs/sim-internals.md). The vectorized
-    # hit rate is the share of busy-time queries the NumPy batch path
-    # served; pool reuse is process-wide Timeout interning.
+    # exported after the launch (docs/sim-internals.md); pool reuse is
+    # process-wide Timeout interning.
     from repro.sim.parallel import export_shard_metrics
 
     export_shard_metrics(registry)
     dispatched = registry.get("sim_events_dispatched")
     steps = registry.get("sim_time_steps")
-    queries = registry.get("sim_busy_queries")
     pool_hits = registry.get("sim_timeout_pool_hits")
     pool_misses = registry.get("sim_timeout_pool_misses")
-    scalar = queries.value(path="scalar") if queries is not None else 0.0
-    vector = queries.value(path="vector") if queries is not None else 0.0
     hits = pool_hits.value() if pool_hits is not None else 0.0
     misses = pool_misses.value() if pool_misses is not None else 0.0
     header = f"{'engine core':<28} {'value':>10}"
@@ -317,10 +313,6 @@ def _cmd_profile(args) -> int:
           f"{dispatched.value(engine=engine) if dispatched else 0.0:>10.0f}")
     print(f"{'clock time steps':<28} "
           f"{steps.value(engine=engine) if steps else 0.0:>10.0f}")
-    print(f"{'busy queries (scalar)':<28} {scalar:>10.0f}")
-    print(f"{'busy queries (vector)':<28} {vector:>10.0f}")
-    vector_rate = vector / (scalar + vector) if scalar + vector else 0.0
-    print(f"{'vectorized-batch hit rate':<28} {vector_rate:>10.1%}")
     pool_rate = hits / (hits + misses) if hits + misses else 0.0
     print(f"{'timeout pool reuse rate':<28} {pool_rate:>10.1%}")
     shard_wall = registry.get("sim_shard_wall_seconds")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.faults.plan import DMA_RETRY_LIMIT
 from repro.memory.hierarchy import MemoryLevel
 from repro.sim.kernel import AllOf, Simulator, Timeout
 from repro.sim.trace import Trace
@@ -205,7 +206,7 @@ class DmaEngine:
                 break  # fatal: queued on the injector; executor raises later
             # CRC mismatch at the destination: replay the whole transaction.
             replays += 1
-            if replays > self.faults.plan.dma_retry_limit:
+            if replays > DMA_RETRY_LIMIT:
                 self.faults.dma_replays_exhausted(self.name, label, self.sim.now)
                 break
             self.stats.replays += 1

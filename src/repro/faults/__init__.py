@@ -4,7 +4,6 @@ from repro.faults.errors import (
     CoreHangFault,
     DeadlineExceededError,
     DmaTransferFault,
-    ExponentBitFlipFault,
     GroupFailedError,
     HardwareFault,
     MantissaBitFlipFault,
@@ -13,7 +12,6 @@ from repro.faults.errors import (
     SyncTimeoutError,
     TransientFault,
     UncorrectableEccError,
-    ValueScaleFault,
 )
 from repro.faults.injector import FaultInjector, FaultRecord
 from repro.faults.plan import FaultPlan
@@ -25,7 +23,6 @@ __all__ = [
     "CorruptionEvent",
     "DeadlineExceededError",
     "DmaTransferFault",
-    "ExponentBitFlipFault",
     "FaultInjector",
     "FaultPlan",
     "FaultRecord",
@@ -40,5 +37,4 @@ __all__ = [
     "SyncTimeoutError",
     "TransientFault",
     "UncorrectableEccError",
-    "ValueScaleFault",
 ]

@@ -60,13 +60,5 @@ class MantissaBitFlipFault(SilentCorruptionFault):
     """A defective core flipped a mantissa bit of one result element."""
 
 
-class ExponentBitFlipFault(SilentCorruptionFault):
-    """A defective core flipped an exponent bit of one result element."""
-
-
-class ValueScaleFault(SilentCorruptionFault):
-    """A marginal datapath scaled a result element by a small factor."""
-
-
 class DeadlineExceededError(ReproRuntimeError):
     """A launch finished (after retries) past its per-request deadline."""

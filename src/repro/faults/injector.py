@@ -35,7 +35,13 @@ from repro.faults.errors import (
     HardwareFault,
     UncorrectableEccError,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import (
+    CORE_SLOWDOWN_FACTOR,
+    DMA_RETRY_LIMIT,
+    ECC_RETRY_NS,
+    WATCHDOG_TIMEOUT_NS,
+    FaultPlan,
+)
 
 
 @dataclass(frozen=True)
@@ -174,11 +180,11 @@ class FaultInjector:
         return None
 
     def dma_replays_exhausted(self, engine: str, label: str, time_ns: float) -> None:
-        """A transaction stayed corrupt after ``dma_retry_limit`` replays."""
+        """A transaction stayed corrupt after ``DMA_RETRY_LIMIT`` replays."""
         self.fail(
             DmaTransferFault(
                 f"{engine}: {label!r} still corrupt after "
-                f"{self.plan.dma_retry_limit} replays"
+                f"{DMA_RETRY_LIMIT} replays"
             ),
             kind="dma.replay_exhausted", component=engine, time_ns=time_ns,
         )
@@ -193,7 +199,7 @@ class FaultInjector:
             return 0.0
         if self._draw(self.plan.ecc_ce_rate):
             self.record("ecc.ce", level, time_ns, recovered=True)
-            return self.plan.ecc_retry_ns
+            return ECC_RETRY_NS
         return 0.0
 
     def perturb_compute(
@@ -205,10 +211,10 @@ class FaultInjector:
                 CoreHangFault(f"{group}: hung in {kernel!r}; watchdog reset"),
                 kind="core.hang", component=group, time_ns=time_ns,
             )
-            return max(compute_ns, self.plan.watchdog_timeout_ns)
+            return max(compute_ns, WATCHDOG_TIMEOUT_NS)
         if self._draw(self.plan.core_slowdown_rate):
             self.record("core.slowdown", group, time_ns, recovered=True, detail=kernel)
-            return compute_ns * self.plan.core_slowdown_factor
+            return compute_ns * CORE_SLOWDOWN_FACTOR
         return compute_ns
 
     def sync_lost(self, component: str, label: str, time_ns: float) -> bool:
@@ -240,7 +246,7 @@ class FaultInjector:
         core = self._silent_core()
         self.record(
             kind, component, time_ns, recovered=False,
-            detail=f"core{core}: {self.plan.sdc_mode} {detail}".rstrip(),
+            detail=f"core{core}: mantissa {detail}".rstrip(),
             detected=False,
         )
         return True

@@ -1,10 +1,9 @@
 """FaultPlan: the declarative description of a fault-injection campaign.
 
-A plan is pure configuration — per-component fault *rates* plus the
-latency penalties recovery costs — and carries the seed that makes a
-campaign reproducible: the same plan and seed always produce the same
-fault sequence against the same workload (the simulator itself is
-deterministic, so draw order is deterministic too).
+A plan is pure configuration — per-component fault *rates* — and carries
+the seed that makes a campaign reproducible: the same plan and seed
+always produce the same fault sequence against the same workload (the
+simulator itself is deterministic, so draw order is deterministic too).
 
 Rates are per *event* at the component's natural granularity:
 
@@ -12,6 +11,9 @@ Rates are per *event* at the component's natural granularity:
 - ``ecc_ce_rate`` / ``ecc_ue_rate`` — per memory-level transfer,
 - ``core_hang_rate`` / ``core_slowdown_rate`` — per kernel per group,
 - ``sync_loss_rate`` — per synchronization-engine operation.
+
+The latency penalties recovery costs are module constants, the same for
+every campaign.
 """
 
 from __future__ import annotations
@@ -21,10 +23,21 @@ from functools import cached_property
 
 from repro.core.errors import reject_non_finite
 
+#: Replays before a still-corrupt DMA transaction is declared failed.
+DMA_RETRY_LIMIT = 3
+#: Scrub-and-retry latency of one correctable ECC event.
+ECC_RETRY_NS = 600.0
+#: Compute-time multiplier of a derated kernel.
+CORE_SLOWDOWN_FACTOR = 2.0
+#: Time a hung core burns before the watchdog resets it.
+WATCHDOG_TIMEOUT_NS = 200_000.0
+#: Recovery latency of a lost synchronization event.
+SYNC_TIMEOUT_NS = 5_000.0
+
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Per-component fault rates + recovery penalties for one campaign."""
+    """Per-component fault rates for one campaign."""
 
     seed: int = 0
 
@@ -54,30 +67,10 @@ class FaultPlan:
     *missed* (contrast ``dma_corrupt_rate``, which is CRC-detected)."""
     sdc_sparse_rate: float = 0.0
     """Silent corruption of one sparse-codec decompression."""
-
-    # -- silent-corruption shape --------------------------------------------
-    sdc_mode: str = "mantissa"
-    """How values are corrupted: ``mantissa`` / ``exponent`` bit flips or
-    ``scale`` (multiply by ``sdc_scale_factor``)."""
-    sdc_scale_factor: float = 1.001953125
-    """Multiplier the ``scale`` mode applies (1 + 2**-9 by default: a
-    marginal-datapath error well above checksum rounding noise)."""
     sdc_cores: tuple[int, ...] = ()
     """Defective core indices corruption is attributed to; empty means
     any core (drawn uniformly) — per-core attribution feeds the fleet's
     repeat-offender containment."""
-
-    # -- recovery penalties --------------------------------------------------
-    dma_retry_limit: int = 3
-    """Replays before a still-corrupt transaction is declared failed."""
-    ecc_retry_ns: float = 600.0
-    """Scrub-and-retry latency of one correctable ECC event."""
-    core_slowdown_factor: float = 2.0
-    """Compute-time multiplier of a derated kernel."""
-    watchdog_timeout_ns: float = 200_000.0
-    """Time a hung core burns before the watchdog resets it."""
-    sync_timeout_ns: float = 5_000.0
-    """Recovery latency of a lost synchronization event."""
 
     def __post_init__(self) -> None:
         reject_non_finite(self)
@@ -85,24 +78,6 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.dma_retry_limit < 0:
-            raise ValueError(f"dma_retry_limit must be >= 0, got {self.dma_retry_limit}")
-        for name in ("ecc_retry_ns", "watchdog_timeout_ns", "sync_timeout_ns"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.core_slowdown_factor < 1.0:
-            raise ValueError(
-                f"core_slowdown_factor must be >= 1, got {self.core_slowdown_factor}"
-            )
-        if self.sdc_mode not in ("mantissa", "exponent", "scale"):
-            raise ValueError(
-                f"sdc_mode must be mantissa/exponent/scale, got {self.sdc_mode!r}"
-            )
-        if self.sdc_scale_factor <= 0.0 or self.sdc_scale_factor == 1.0:
-            raise ValueError(
-                f"sdc_scale_factor must be positive and != 1, "
-                f"got {self.sdc_scale_factor}"
-            )
         if any(core < 0 for core in self.sdc_cores):
             raise ValueError(f"sdc_cores must be >= 0, got {self.sdc_cores}")
 

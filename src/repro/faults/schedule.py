@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.errors import ReproRuntimeError
+from repro.core.errors import ReproRuntimeError, reject_non_finite
 from repro.faults.plan import RATE_FIELDS, FaultPlan
 
 __all__ = ["FaultSchedule", "StormPhase"]
@@ -34,14 +34,15 @@ class StormPhase:
     end_s: float
     """Window end; the phase is active on ``start_s <= t < end_s``."""
     plan: FaultPlan
-    """Rates injected while the phase is active (penalties are ignored —
-    the schedule's base plan supplies recovery costs)."""
+    """Rates injected while the phase is active (its seed and
+    ``sdc_cores`` are ignored — the schedule's base plan supplies them)."""
     devices: tuple[int, ...] | None = None
     """Replica indices the storm hits; ``None`` means every device."""
     ramp: bool = False
     """Linearly ramp rates from zero at ``start_s`` to full at ``end_s``."""
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.start_s < 0.0:
             raise ReproRuntimeError(
                 f"storm start must be >= 0, got {self.start_s}"
@@ -88,8 +89,8 @@ class FaultSchedule:
 
         Rates compose as independent failure sources — the survival
         probabilities multiply: ``1 - (1-base) * prod(1 - storm*ramp)`` —
-        so stacking storms never pushes a rate past 1. Recovery penalties
-        (retry latencies, watchdog timeouts) come from the base plan.
+        so stacking storms never pushes a rate past 1. The seed and the
+        defective cores come from the base plan.
         """
         live = [
             phase for phase in self.phases if phase.active(time_ns, device)

@@ -5,8 +5,8 @@ return incorrect results without raising anything — no CRC mismatch, no
 ECC event, no watchdog. This module injects exactly that failure mode
 into the functional engines:
 
-- :class:`SilentCorruptor` flips a mantissa or exponent bit (or scales a
-  value) in one element of a result array — a GEMM output
+- :class:`SilentCorruptor` flips a high-order mantissa bit in one
+  element of a result array — a GEMM output
   (:meth:`~repro.engines.matrix.MatrixEngine.gemm`), a DMA payload, or a
   sparse-codec decompression — *after* the computation completes, so the
   corrupted launch is indistinguishable from a clean one;
@@ -38,23 +38,19 @@ import random
 
 import numpy as np
 
-from repro.faults.errors import (
-    ExponentBitFlipFault,
-    MantissaBitFlipFault,
-    SilentCorruptionFault,
-    ValueScaleFault,
-)
+from repro.faults.errors import MantissaBitFlipFault, SilentCorruptionFault
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 
 __all__ = ["CorruptionEvent", "SilentCorruptor"]
 
-#: Lowest mantissa bit the ``mantissa`` mode will flip (of float64's 52):
-#: bits 40..51 give relative errors between ~2^-12 and ~2^-1.
+#: Lowest mantissa bit a corruption will flip (of float64's 52): bits
+#: 40..51 give relative errors between ~2^-12 and ~2^-1.
 _MANTISSA_LOW_BIT = 40
-#: Exponent bits eligible for the ``exponent`` mode (low exponent bits,
-#: so values scale by 2^±small instead of overflowing to inf).
-_EXPONENT_BITS = (52, 53, 54)
+#: Multiplier applied instead when a flip would leave the value
+#: unchanged or non-finite (1 + 2**-9: a marginal-datapath error well
+#: above checksum rounding noise).
+_SCALE_FALLBACK = 1.001953125
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,6 @@ class CorruptionEvent:
 
     site: str
     """Injection site: ``gemm`` / ``dma`` / ``sparse``."""
-    mode: str
     core: int
     """Core the corruption is attributed to (defective-core containment
     keys on this)."""
@@ -73,13 +68,6 @@ class CorruptionEvent:
     corrupted: float
     fault: SilentCorruptionFault
     """The typed fault a detector raises when it catches this event."""
-
-
-_FAULT_TYPES = {
-    "mantissa": MantissaBitFlipFault,
-    "exponent": ExponentBitFlipFault,
-    "scale": ValueScaleFault,
-}
 
 
 @dataclass
@@ -132,7 +120,7 @@ class SilentCorruptor:
     @staticmethod
     def _detail(event: CorruptionEvent) -> str:
         return (
-            f"core{event.core}: {event.mode} {event.site}[{event.index}] "
+            f"core{event.core}: mantissa {event.site}[{event.index}] "
             f"{event.original!r} -> {event.corrupted!r}"
         )
 
@@ -167,16 +155,14 @@ class SilentCorruptor:
             return array
         index = int(nonzero[self._rng.randrange(nonzero.size)])
         original = float(flat[index])
-        mode = self.plan.sdc_mode
-        corrupted = self._apply(original, mode)
+        corrupted = self._flip(original)
         flat[index] = corrupted
         core = self._core()
-        fault_type = _FAULT_TYPES[mode]
         event = CorruptionEvent(
-            site=site, mode=mode, core=core, index=index,
+            site=site, core=core, index=index,
             original=original, corrupted=corrupted,
-            fault=fault_type(
-                f"{self.device or 'device'} core{core}: silent {mode} "
+            fault=MantissaBitFlipFault(
+                f"{self.device or 'device'} core{core}: silent mantissa "
                 f"corruption in {site}[{index}]: {original!r} -> {corrupted!r}"
             ),
         )
@@ -194,17 +180,12 @@ class SilentCorruptor:
             return cores[self._rng.randrange(len(cores))] if len(cores) > 1 else cores[0]
         return self._rng.randrange(4)
 
-    def _apply(self, value: float, mode: str) -> float:
-        if mode == "scale":
-            return value * self.plan.sdc_scale_factor
+    def _flip(self, value: float) -> float:
         bits = int(np.float64(value).view(np.uint64))
-        if mode == "mantissa":
-            bit = self._rng.randrange(_MANTISSA_LOW_BIT, 52)
-        else:  # exponent
-            bit = _EXPONENT_BITS[self._rng.randrange(len(_EXPONENT_BITS))]
+        bit = self._rng.randrange(_MANTISSA_LOW_BIT, 52)
         flipped = np.uint64(bits ^ (1 << bit)).view(np.float64)
         result = float(flipped)
         if not np.isfinite(result) or result == value:
             # Keep injected errors finite and real: fall back to scale.
-            return value * self.plan.sdc_scale_factor
+            return value * _SCALE_FALLBACK
         return result

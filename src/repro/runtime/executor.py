@@ -38,6 +38,11 @@ from repro.core.errors import ReproRuntimeError
 from repro.core.processing_group import ProcessingGroup
 from repro.core.resource import Assignment
 from repro.dma.engine import check_route
+from repro.faults.plan import (
+    ECC_RETRY_NS,
+    SYNC_TIMEOUT_NS,
+    WATCHDOG_TIMEOUT_NS,
+)
 from repro.power.dvfs import Observation
 from repro.sim.kernel import AllOf, Timeout
 from repro.sync.events import Barrier
@@ -822,11 +827,10 @@ class Executor:
         # interval, e.g. DMA replays).
         injector = self.accelerator.faults
         if injector is not None and len(injector.records) > fault_mark:
-            plan = injector.plan
             penalties = {
-                "ecc.ce": plan.ecc_retry_ns,
-                "sync.lost": plan.sync_timeout_ns,
-                "core.hang": plan.watchdog_timeout_ns,
+                "ecc.ce": ECC_RETRY_NS,
+                "sync.lost": SYNC_TIMEOUT_NS,
+                "core.hang": WATCHDOG_TIMEOUT_NS,
             }
             injected = metrics.counter(
                 "faults_injected_total", "hardware faults injected"
@@ -886,13 +890,6 @@ class Executor:
         metrics.gauge(
             "sim_time_steps", "distinct timestamps the clock stepped through"
         ).set(getattr(sim, "time_steps", 0), engine=sim.engine)
-        query_stats = self.accelerator.trace.query_stats()
-        metrics.gauge(
-            "sim_busy_queries", "trace busy-time queries by evaluation path"
-        ).set(query_stats["scalar_queries"], path="scalar")
-        metrics.gauge("sim_busy_queries").set(
-            query_stats["vector_queries"], path="vector"
-        )
         metrics.gauge(
             "sim_timeout_pool_hits", "interned Timeout reuses (process-wide)"
         ).set(Timeout.pool_hits)

@@ -30,6 +30,8 @@ from repro.runtime.executor import ExecutionResult, Executor
 
 #: Process-wide monotonic counter behind Device.open's auto-assigned ids.
 _OPEN_COUNTER = count()
+#: First launch-retry backoff; doubles per retry.
+RETRY_BACKOFF_MS = 0.05
 
 
 @dataclass
@@ -156,7 +158,6 @@ class Device:
         tenant: str = "default",
         deadline_ms: float | None = None,
         max_retries: int = 0,
-        retry_backoff_ms: float = 0.05,
         trace_ctx=None,
     ) -> ExecutionResult:
         """Run one inference; groups default to the Fig. 7 recommendation.
@@ -170,7 +171,7 @@ class Device:
         accelerator): a :class:`~repro.faults.TransientFault` — aborted
         DMA, uncorrectable ECC, watchdog core reset — is retried up to
         ``max_retries`` times with exponential backoff starting at
-        ``retry_backoff_ms``; the time failed attempts and backoffs
+        ``RETRY_BACKOFF_MS``; the time failed attempts and backoffs
         consumed is folded into the returned latency. When the final
         latency exceeds ``deadline_ms`` the launch raises
         :class:`~repro.faults.DeadlineExceededError`; with retries
@@ -250,7 +251,7 @@ class Device:
                         launch_handle, compiled.name, "failed", retries
                     )
                     raise
-                overhead_ns += retry_backoff_ms * 1e6 * (2.0 ** retries)
+                overhead_ns += RETRY_BACKOFF_MS * 1e6 * (2.0 ** retries)
                 retries += 1
         if retries or overhead_ns:
             result.latency_ns += overhead_ns

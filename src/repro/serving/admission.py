@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.errors import ReproRuntimeError
+from repro.core.errors import ReproRuntimeError, reject_non_finite
 
 __all__ = [
     "AdmissionController",
@@ -61,6 +61,7 @@ class SloClass:
     """Brownout order: higher sheds earlier; 0 is never brownout-shed."""
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.queue_limit < 1:
             raise ReproRuntimeError(
                 f"SloClass {self.name!r}: queue_limit must be >= 1, "

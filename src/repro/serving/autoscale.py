@@ -36,6 +36,10 @@ __all__ = ["Autoscaler", "AutoscalerConfig", "ScaleAction"]
 #: Scale-down needs every targeted class p99 under this fraction of its
 #: target.
 SCALE_DOWN_FRACTION = 0.5
+#: Queue-depth signal at/above which the loop votes scale-up.
+BACKPRESSURE_HIGH = 0.75
+#: Queue-depth signal the loop requires for a scale-down vote.
+BACKPRESSURE_LOW = 0.25
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,6 @@ class AutoscalerConfig:
         ("standard", 150.0),
     )
     """Per-class p99 ceilings; any class over its target votes scale-up."""
-    backpressure_high: float = 0.75
-    """Queue-depth signal at/above which the loop votes scale-up."""
-    backpressure_low: float = 0.25
-    """Queue-depth signal the loop requires for a scale-down vote."""
     cooldown_ms: float = 75.0
     """Dead time after any action before the next may fire."""
     scale_down_consecutive: int = 3
@@ -78,11 +78,6 @@ class AutoscalerConfig:
             reject(f"eval_interval_ms must be > 0, got {self.eval_interval_ms}")
         if self.cooldown_ms < 0:
             reject(f"cooldown_ms must be >= 0, got {self.cooldown_ms}")
-        if not 0.0 <= self.backpressure_low < self.backpressure_high <= 1.0:
-            reject(
-                f"need 0 <= backpressure_low < backpressure_high <= 1, got "
-                f"low={self.backpressure_low} high={self.backpressure_high}"
-            )
         if self.scale_down_consecutive < 1:
             reject(
                 f"scale_down_consecutive must be >= 1, "
@@ -191,7 +186,7 @@ class Autoscaler:
             and now_ns - self._last_action_ns < cfg.cooldown_ms * 1e6
         )
         overloaded_classes = []
-        quiet = backpressure <= cfg.backpressure_low
+        quiet = backpressure <= BACKPRESSURE_LOW
         for name, target in cfg.p99_targets_ms:
             p99 = window.p99(name)
             if p99 is None:
@@ -201,7 +196,7 @@ class Autoscaler:
             if p99 > SCALE_DOWN_FRACTION * target:
                 quiet = False
         overloaded = bool(overloaded_classes) or (
-            backpressure >= cfg.backpressure_high
+            backpressure >= BACKPRESSURE_HIGH
         )
         if overloaded:
             self._quiet_streak = 0
@@ -215,7 +210,7 @@ class Autoscaler:
                 reason = f"p99[{name}] {p99:.1f}ms > target {target:.1f}ms"
             else:
                 reason = f"backpressure {backpressure:.2f} >= " \
-                         f"{cfg.backpressure_high:.2f}"
+                         f"{BACKPRESSURE_HIGH:.2f}"
             self._record(now_ns, "up", reason, active)
             return 1
         if quiet:

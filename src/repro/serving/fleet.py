@@ -50,10 +50,12 @@ from repro.runtime.runtime import Device
 from repro.seeding import derive_rng, derive_seed
 from repro.serving.routing import Backlog, HeapRouter, ReplicaStatus
 from repro.serving.server import (
+    TRANSFERS_PER_REQUEST,
     ClassBook,
     RasConfig,
     SloClassStats,
     TenantConfig,
+    backoff_ns,
     batch_service_time_ns,
     measure_service_time_ns,
     tail_percentiles,
@@ -527,7 +529,7 @@ class FleetManager:
             self._sdc = SdcTracker(
                 self.sdc_config, cfg.seed, self.schedule,
                 [replica.name for replica in self._replicas],
-                self.ras.transfers_per_request,
+                TRANSFERS_PER_REQUEST,
             )
         rngs = {
             replica.name: derive_rng(cfg.seed, "serve", replica.name)
@@ -985,7 +987,7 @@ class FleetManager:
         # when uncapped).
         service = service * replica.power_dilation
         tracker = self._sdc
-        events_per_attempt = self.ras.transfers_per_request * batch
+        events_per_attempt = TRANSFERS_PER_REQUEST * batch
         now = start
         retries = 0
         while True:
@@ -1002,7 +1004,7 @@ class FleetManager:
                 retries += 1
                 if retries > self.ras.max_retries:
                     return now, "fatal", retries, False
-                now += self.ras.backoff_ns(retries)
+                now += backoff_ns(retries)
                 continue
             corrupted = False
             if tracker is not None:
@@ -1017,7 +1019,7 @@ class FleetManager:
                     retries += 1
                     if retries > self.ras.max_retries:
                         return now, "fatal", retries, False
-                    now += self.ras.backoff_ns(retries)
+                    now += backoff_ns(retries)
                     continue
             return now, "ok", retries, corrupted
 
@@ -1262,7 +1264,7 @@ class FleetManager:
             rng = derive_rng(cfg.seed, "probe-screen", replica.name, attempt)
             p_vector = 1.0 - (
                 1.0 - plan.silent_event_rate
-            ) ** self.ras.transfers_per_request
+            ) ** TRANSFERS_PER_REQUEST
             for vector in range(cfg.screen_vectors):
                 if rng.random() < p_vector:
                     ok = False

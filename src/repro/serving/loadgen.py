@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.errors import reject_non_finite
 from repro.seeding import derive_seed
 from repro.serving.workload import Request
 
@@ -82,6 +83,7 @@ class LoadSpec:
     """Linear ramp up to (and back down from) the peak."""
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.rate_per_s < 0:
             raise ValueError(f"rate must be >= 0, got {self.rate_per_s}")
         if self.shape not in _SHAPES:

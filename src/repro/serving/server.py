@@ -25,12 +25,13 @@ A server built with a :class:`~repro.faults.FaultPlan` replays the fault
 campaign at request granularity: each service attempt draws transient
 (DMA corruption, correctable ECC) and fatal (DMA abort, uncorrectable
 ECC, core hang) faults from a deterministic per-run RNG, at the plan's
-per-event rates compounded over ``RasConfig.transfers_per_request``
-hardware events per inference. The server *survives* them:
+per-event rates compounded over ``TRANSFERS_PER_REQUEST`` hardware
+events per inference. The server *survives* them:
 
 - **retry with backoff** — a transiently-faulted batch replays up to
   ``max_retries`` times, each attempt paying the full service time plus
-  exponential backoff;
+  exponential backoff (``RETRY_BACKOFF_MS``, times ``BACKOFF_FACTOR`` per
+  attempt);
 - **admission control** — a request arriving to a tenant queue deeper
   than ``queue_depth_limit`` is shed immediately instead of waiting;
 - **circuit breaker** — fatal faults are attributed to a processing
@@ -92,6 +93,20 @@ class TenantConfig:
             )
 
 
+#: First retry backoff; grows by ``BACKOFF_FACTOR`` per attempt.
+RETRY_BACKOFF_MS = 0.1
+#: Multiplier applied to the backoff after each retry (>= 1: backoff
+#: never shrinks).
+BACKOFF_FACTOR = 2.0
+#: Hardware fault events one inference is exposed to (per sample).
+TRANSFERS_PER_REQUEST = 16
+
+
+def backoff_ns(retries: int) -> float:
+    """Backoff before replay number ``retries`` (1-based)."""
+    return RETRY_BACKOFF_MS * 1e6 * (BACKOFF_FACTOR ** (retries - 1))
+
+
 @dataclass(frozen=True)
 class RasConfig:
     """Reliability policy knobs for one :class:`InferenceServer`.
@@ -104,18 +119,12 @@ class RasConfig:
 
     max_retries: int = 2
     """Service replays of a transiently-faulted batch before giving up."""
-    retry_backoff_ms: float = 0.1
-    """First retry backoff; grows by ``backoff_factor`` per attempt."""
-    backoff_factor: float = 2.0
-    """Multiplier applied to the backoff after each retry (>= 1)."""
     queue_depth_limit: int | None = None
     """Admission control: shed arrivals beyond this per-tenant depth."""
     breaker_threshold: int = 3
     """Consecutive fatal faults on one group that trip its breaker."""
     min_groups: int = 1
     """Degradation floor: a tenant never drops below this many groups."""
-    transfers_per_request: int = 16
-    """Hardware fault events one inference is exposed to (per sample)."""
     deadline_ms: float | None = None
     """Per-request completion deadline: a request finishing (queue +
     service + retries) past this counts as ``failed``, mirroring a
@@ -131,15 +140,6 @@ class RasConfig:
                 f"max_retries must be >= 0 (0 disables retries), "
                 f"got {self.max_retries}"
             )
-        if self.retry_backoff_ms < 0:
-            reject(
-                f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}"
-            )
-        if self.backoff_factor < 1.0:
-            reject(
-                f"backoff_factor must be >= 1 (backoff never shrinks), "
-                f"got {self.backoff_factor}"
-            )
         if self.queue_depth_limit is not None and self.queue_depth_limit < 1:
             reject(
                 f"queue_depth_limit must be >= 1 or None, "
@@ -151,19 +151,10 @@ class RasConfig:
             )
         if self.min_groups < 1:
             reject(f"min_groups must be >= 1, got {self.min_groups}")
-        if self.transfers_per_request < 1:
-            reject(
-                f"transfers_per_request must be >= 1, "
-                f"got {self.transfers_per_request}"
-            )
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             reject(
                 f"deadline_ms must be > 0 or None, got {self.deadline_ms}"
             )
-
-    def backoff_ns(self, retries: int) -> float:
-        """Backoff before replay number ``retries`` (1-based)."""
-        return self.retry_backoff_ms * 1e6 * (self.backoff_factor ** (retries - 1))
 
     def deadline_status(self, status: str, request: Request, finish: float) -> str:
         """Apply the per-request deadline: late completions count failed."""
@@ -661,7 +652,7 @@ class InferenceServer:
         """``(p_fatal, p_transient)`` of one service attempt of a batch.
 
         Each compounds the plan's per-event rate over
-        ``transfers_per_request * batch_size`` hardware events. Without a
+        ``TRANSFERS_PER_REQUEST * batch_size`` hardware events. Without a
         plan, or with zero fatal and transient rates, both are 0 and an
         attempt draws nothing. Resolved once per batch size.
         """
@@ -673,7 +664,7 @@ class InferenceServer:
                 if plan is not None
                 else (0.0, 0.0)
             )
-            events = self.ras.transfers_per_request * batch_size
+            events = TRANSFERS_PER_REQUEST * batch_size
             odds = self._odds[batch_size] = (
                 1.0 - (1.0 - fatal) ** events,
                 1.0 - (1.0 - transient) ** events,
@@ -709,7 +700,7 @@ class InferenceServer:
             retries += 1
             if retries > self.ras.max_retries:
                 return now, "failed", retries
-            now += self.ras.backoff_ns(retries)
+            now += backoff_ns(retries)
 
     # -- simulation ----------------------------------------------------------
 

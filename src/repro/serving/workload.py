@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.errors import reject_non_finite
+
 
 @dataclass(frozen=True)
 class Request:
@@ -45,6 +47,7 @@ class TrafficPattern:
     """SLO class stamped on every generated request."""
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.rate_per_s < 0:
             raise ValueError(f"rate must be >= 0, got {self.rate_per_s}")
         if self.burstiness < 1.0:

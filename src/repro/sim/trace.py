@@ -6,28 +6,24 @@ both consume traces: the profiler to report per-operator latency, the power
 model to reconstruct per-engine busy/stall duty cycles inside DVFS
 observation windows.
 
-Vectorized interval queries
----------------------------
+Interval queries
+----------------
 
-The power manager asks ``busy_time`` / ``utilization`` questions about a
-sliding window once per DVFS observation window, per engine — thousands of
-queries over a trace that keeps growing. The original implementation
-scanned **every** interval in the trace per query (quadratic over a run;
-it dominated end-to-end launch wall time). The trace now keeps a
-*columnar* per-engine timeline (parallel start/end columns, grown
-append-only) with a monotone skip pointer, so one query touches only that
-engine's still-relevant intervals; large candidate sets run the
-overlap/clip/merge as a handful of vectorized NumPy array operations,
-small ones as a scalar merge over the pruned slice (see
-``_VECTOR_CUTOFF``).
+The power manager asks one ``busy_time`` question per engine per DVFS
+observation window — thousands of queries over a trace that keeps
+growing. Scanning **every** interval per query is quadratic over a run,
+so the trace keeps a *columnar* per-engine timeline (parallel start/end
+lists, append-only) with a monotone skip pointer: one query touches only
+that engine's still-relevant intervals and merges them with a scalar
+clip/sort/accumulate.
 
-Bit-reproducibility contract (docs/sim-internals.md): both query paths
-perform **exactly** the same IEEE-754 operations as the reference scan —
-clip by ``max``/``min``, advance the merge cursor by running ``max``, and
+Bit-reproducibility contract (docs/sim-internals.md): the query performs
+**exactly** the same IEEE-754 operations as the reference scan — clip by
+``max``/``min``, advance the merge cursor by running ``max``, and
 accumulate positive segment lengths left-to-right in the same
-``(start, end)`` lexicographic order — so their results are bit-identical,
+``(start, end)`` lexicographic order — so its results are bit-identical,
 not merely close. ``_busy_time_reference`` retains the original scan as
-the pinned oracle; without NumPy every query takes the scalar path.
+the pinned oracle.
 
 Interval ordering: intervals carry a per-trace ``seq`` assigned at record
 time, and compare by ``(start, end, seq)`` — a total order defined purely
@@ -41,11 +37,6 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
-
-try:  # NumPy backs the vectorized fast path; the trace works without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via _busy_time_reference
-    np = None
 
 
 class Interval:
@@ -116,20 +107,9 @@ class Interval:
         )
 
 
-#: candidate-set size at which a window query switches from the scalar
-#: merge to the NumPy batch: below this, fixed per-call array overhead
-#: outweighs the vector win (both paths are bit-identical to the
-#: reference scan, so the cutoff is purely a speed knob).
-_VECTOR_CUTOFF = 64
-
-
 class _EngineTimeline:
-    """Columnar (start, end) store for one engine's intervals.
-
-    Append-only, in record order: Python lists always, plus
-    capacity-doubling NumPy buffers (when NumPy is available) for the
-    vectorized batch path, mirrored from the lists only when a batch query
-    needs them (most engines never have one).
+    """Columnar (start, end) store for one engine's intervals, appended in
+    record order.
 
     Window queries keep a *monotone skip pointer*: the power manager asks
     about consecutive non-overlapping windows with ever-increasing
@@ -141,10 +121,7 @@ class _EngineTimeline:
     changes the candidate set, only how fast it is found.
     """
 
-    __slots__ = (
-        "size", "_starts", "_ends", "_np_starts", "_np_ends", "_np_size",
-        "_skip", "_skip_start", "scalar_queries", "vector_queries",
-    )
+    __slots__ = ("size", "_starts", "_ends", "_skip", "_skip_start")
 
     def __init__(self) -> None:
         self.size = 0
@@ -152,37 +129,16 @@ class _EngineTimeline:
         self._ends: list[float] = []
         self._skip = 0
         self._skip_start = 0.0
-        self.scalar_queries = 0
-        self.vector_queries = 0
-        self._np_starts = self._np_ends = None
-        self._np_size = 0
 
     def add(self, start: float, end: float) -> None:
         self._starts.append(start)
         self._ends.append(end)
         self.size += 1
 
-    def _mirror(self) -> None:
-        """Bring the NumPy buffers up to date with the lists."""
-        size, mirrored = self.size, self._np_size
-        if self._np_starts is None or size > len(self._np_starts):
-            capacity = 16
-            while capacity < size:
-                capacity *= 2
-            for name in ("_np_starts", "_np_ends"):
-                grown = np.empty(capacity, dtype=np.float64)
-                old = getattr(self, name)
-                if old is not None:
-                    grown[:mirrored] = old[:mirrored]
-                setattr(self, name, grown)
-        self._np_starts[mirrored:size] = self._starts[mirrored:size]
-        self._np_ends[mirrored:size] = self._ends[mirrored:size]
-        self._np_size = size
-
     def busy_time(self, start: float, end: float) -> float:
         """Merged busy time inside [start, end) — bit-identical to the
         reference scan (same clip, same sort order, same left-to-right
-        accumulation), via either the scalar or the NumPy batch path."""
+        accumulation) over the candidates the skip pointer leaves."""
         size = self.size
         ends = self._ends
         if start >= self._skip_start:
@@ -195,10 +151,6 @@ class _EngineTimeline:
         self._skip_start = start
         if ptr == size:
             return 0.0
-        if np is not None and size - ptr > _VECTOR_CUTOFF:
-            return self._busy_time_vector(ptr, start, end)
-        # Scalar path: the reference merge over the surviving candidates.
-        self.scalar_queries += 1
         starts = self._starts
         clipped = []
         for index in range(ptr, size):
@@ -218,35 +170,6 @@ class _EngineTimeline:
             if hi > lo:
                 busy += hi - lo
                 cursor = hi
-        return busy
-
-    def _busy_time_vector(self, ptr: int, start: float, end: float) -> float:
-        """NumPy batch: overlap test, clip, merge as array operations."""
-        self.vector_queries += 1
-        if self._np_size < self.size:
-            self._mirror()
-        starts = self._np_starts[ptr:self.size]
-        ends = self._np_ends[ptr:self.size]
-        mask = (ends > start) & (starts < end)
-        if not mask.any():
-            return 0.0
-        los = np.maximum(starts[mask], start)
-        his = np.minimum(ends[mask], end)
-        order = np.lexsort((his, los))  # == sorted(zip(los, his)), stable
-        los = los[order]
-        his = his[order]
-        # reference merge: cursor_i = max(window start, max(his[:i])) —
-        # uncounted segments never move the cursor backwards, so the
-        # running max is exactly the reference cursor.
-        cursor = np.empty_like(his)
-        cursor[0] = start
-        if len(his) > 1:
-            np.maximum.accumulate(his[:-1], out=cursor[1:])
-        effective = np.maximum(los, cursor)
-        gains = his - effective
-        busy = 0.0
-        for gain in gains[gains > 0.0].tolist():
-            busy += gain
         return busy
 
 
@@ -288,20 +211,10 @@ class Trace:
     def engines(self) -> set[str]:
         return set(self._timelines)
 
-    def query_stats(self) -> dict[str, int]:
-        """How window queries were served: scalar merges vs NumPy batches.
-
-        The ``repro profile`` engine table derives its vectorized-batch hit
-        rate from these (see docs/sim-internals.md).
-        """
-        scalar = sum(t.scalar_queries for t in self._timelines.values())
-        vector = sum(t.vector_queries for t in self._timelines.values())
-        return {"scalar_queries": scalar, "vector_queries": vector}
-
     def _busy_time_reference(
         self, engine: str, start: float, end: float
     ) -> float:
-        """The pinned pure-Python scan the vectorized query must match."""
+        """The pinned pure-Python scan ``busy_time`` must match bit-for-bit."""
         clipped = sorted(
             (max(interval.start, start), min(interval.end, end))
             for interval in self.intervals

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.faults.plan import SYNC_TIMEOUT_NS
 from repro.sim.kernel import Event, Simulator, Timeout
 from repro.sync.events import Barrier, Semaphore
 
@@ -44,8 +45,8 @@ class SyncEngine:
 
     With a :class:`~repro.faults.FaultInjector` attached (``faults``),
     each operation may lose its hardware event; the engine recovers by
-    timeout — the operation succeeds after an extra ``sync_timeout_ns``
-    from the fault plan. No injector means the timing path is untouched.
+    timeout — the operation succeeds after an extra ``SYNC_TIMEOUT_NS``
+    (repro.faults.plan). No injector means the timing path is untouched.
     """
 
     sim: Simulator
@@ -68,7 +69,7 @@ class SyncEngine:
             f"sync.g{self.group_id}", label, self.sim.now
         ):
             self.stats.lost_events += 1
-            yield Timeout(self.faults.plan.sync_timeout_ns)
+            yield Timeout(SYNC_TIMEOUT_NS)
 
     def semaphore(self, name: str) -> Semaphore:
         if name not in self._semaphores:

@@ -1,5 +1,7 @@
 """Fault injection through the detailed simulator + Device.launch RAS."""
 
+import inspect
+
 import pytest
 
 from repro.engines.compute_core import ComputeCore
@@ -109,12 +111,17 @@ class TestFatalFaultsAndRetry:
         again = device.launch(compiled, num_groups=3, max_retries=50)
         assert again.latency_ns > 0
 
+    def test_launch_takes_no_backoff_knob(self):
+        # The first backoff is repro.runtime.runtime.RETRY_BACKOFF_MS.
+        assert list(inspect.signature(Device.launch).parameters) == [
+            "self", "compiled", "num_groups", "tenant", "deadline_ms",
+            "max_retries", "trace_ctx",
+        ]
+
     def test_retry_overhead_included_in_latency(self):
         baseline, _ = _launch()
         device, compiled = self._first_failing_launch()
-        result = device.launch(
-            compiled, num_groups=3, max_retries=50, retry_backoff_ms=0.5
-        )
+        result = device.launch(compiled, num_groups=3, max_retries=50)
         retries = result.counters.get("launch_retries", 0)
         if retries:
             assert result.latency_ns > baseline.latency_ns

@@ -17,7 +17,12 @@ from repro.faults import (
     UncorrectableEccError,
 )
 from repro.core.errors import ReproRuntimeError
-from repro.faults.plan import RATE_FIELDS
+from repro.faults.plan import (
+    CORE_SLOWDOWN_FACTOR,
+    ECC_RETRY_NS,
+    RATE_FIELDS,
+    WATCHDOG_TIMEOUT_NS,
+)
 
 
 class TestFaultPlan:
@@ -34,18 +39,22 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(ecc_ue_rate=-0.1)
         with pytest.raises(ValueError):
-            FaultPlan(core_slowdown_factor=0.5)
-        with pytest.raises(ValueError):
-            FaultPlan(dma_retry_limit=-1)
+            FaultPlan(sdc_cores=(-1,))
+
+    def test_holds_only_the_knobs_a_caller_sets(self):
+        # Recovery penalties and the corruption shape are module
+        # constants (repro.faults.plan, repro.faults.silent).
+        assert [f.name for f in dataclasses.fields(FaultPlan)] == [
+            "seed", *RATE_FIELDS, "sdc_cores",
+        ]
+        assert len(RATE_FIELDS) == 10
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"ecc_retry_ns": float("nan")},
-            {"core_slowdown_factor": float("inf")},
             {"dma_corrupt_rate": float("nan")},
-            {"watchdog_timeout_ns": float("inf")},
-            {"sdc_scale_factor": float("nan")},
+            {"ecc_ce_rate": float("inf")},
+            {"sdc_gemm_rate": float("nan")},
         ],
     )
     def test_non_finite_fields_rejected(self, kwargs):
@@ -150,8 +159,8 @@ class TestInjectorHooks:
         assert injector.take_fatal() is None
 
     def test_ecc_ce_returns_penalty(self):
-        injector = FaultInjector(FaultPlan(ecc_ce_rate=1.0, ecc_retry_ns=333.0))
-        assert injector.ecc_outcome("L2", 0.0) == 333.0
+        injector = FaultInjector(FaultPlan(ecc_ce_rate=1.0))
+        assert injector.ecc_outcome("L2", 0.0) == ECC_RETRY_NS
         assert injector.records[0].recovered
 
     def test_ecc_ue_is_fatal(self):
@@ -160,17 +169,18 @@ class TestInjectorHooks:
         assert isinstance(injector.take_fatal(), UncorrectableEccError)
 
     def test_hang_burns_watchdog_window(self):
-        injector = FaultInjector(
-            FaultPlan(core_hang_rate=1.0, watchdog_timeout_ns=9999.0)
+        injector = FaultInjector(FaultPlan(core_hang_rate=1.0))
+        assert (
+            injector.perturb_compute("k", "g", 10.0, 0.0) == WATCHDOG_TIMEOUT_NS
         )
-        assert injector.perturb_compute("k", "g", 10.0, 0.0) == 9999.0
         assert isinstance(injector.take_fatal(), CoreHangFault)
 
     def test_slowdown_scales_compute(self):
-        injector = FaultInjector(
-            FaultPlan(core_slowdown_rate=1.0, core_slowdown_factor=3.0)
+        injector = FaultInjector(FaultPlan(core_slowdown_rate=1.0))
+        assert (
+            injector.perturb_compute("k", "g", 10.0, 0.0)
+            == 10.0 * CORE_SLOWDOWN_FACTOR
         )
-        assert injector.perturb_compute("k", "g", 10.0, 0.0) == 30.0
         assert not injector.fatal_pending
 
     def test_counters_aggregate_by_kind(self):

@@ -104,14 +104,18 @@ class TestFaultSchedule:
         plan = schedule.plan_at(_s(0.5), 0)
         assert plan.dma_abort_rate == 1.0  # a valid FaultPlan, not 2.0
 
-    def test_penalties_come_from_the_base_plan(self):
-        base = FaultPlan(ecc_retry_ns=1234.0)
+    def test_seed_and_cores_come_from_the_base_plan(self):
+        base = FaultPlan(seed=7, sdc_cores=(2,))
         schedule = FaultSchedule(
             base=base,
-            phases=(StormPhase(0.0, 1.0, FaultPlan(ecc_ce_rate=0.5)),),
+            phases=(
+                StormPhase(
+                    0.0, 1.0, FaultPlan(seed=9, ecc_ce_rate=0.5, sdc_cores=(1,))
+                ),
+            ),
         )
         plan = schedule.plan_at(_s(0.5), 0)
-        assert plan.ecc_retry_ns == 1234.0
+        assert (plan.seed, plan.sdc_cores) == (7, (2,))
         assert plan.ecc_ce_rate == 0.5
 
     def test_ramped_storm_scales_the_rate(self):

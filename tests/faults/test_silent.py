@@ -18,7 +18,6 @@ from repro.faults import (
     MantissaBitFlipFault,
     SilentCorruptionFault,
     SilentCorruptor,
-    ValueScaleFault,
 )
 
 
@@ -102,16 +101,6 @@ class TestInjection:
         assert relative >= 2.0 ** -13  # bits 40..51 of the 52-bit mantissa
         assert isinstance(event.fault, MantissaBitFlipFault)
         assert isinstance(event.fault, SilentCorruptionFault)
-
-    def test_scale_mode_multiplies_by_the_plan_factor(self):
-        corruptor = _corruptor(
-            sdc_gemm_rate=1.0, sdc_mode="scale", sdc_scale_factor=2.0
-        )
-        array = _array(5)
-        corruptor.corrupt_gemm(array)
-        event = corruptor.events[0]
-        assert event.corrupted == pytest.approx(event.original * 2.0)
-        assert isinstance(event.fault, ValueScaleFault)
 
     def test_defective_core_attribution_is_plan_pinned(self):
         corruptor = _corruptor(sdc_gemm_rate=1.0, sdc_cores=(3,))

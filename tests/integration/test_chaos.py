@@ -18,6 +18,7 @@ import pytest
 from repro.chaos import (
     INVARIANTS,
     SCENARIOS,
+    ChaosScenario,
     declared_invariants,
     render_table,
     run_scenario,
@@ -114,6 +115,16 @@ class TestSuite:
 
     def test_quick_subset_is_a_strict_subset(self):
         assert set(scenario_names(quick=True)) < set(scenario_names())
+
+    def test_holds_only_the_knobs_a_caller_sets(self):
+        # The autoscaler-convergence bound is MAX_SCALE_REVERSALS.
+        assert [f.name for f in dataclasses.fields(ChaosScenario)] == [
+            "name", "description", "schedule", "duration_s", "tenants",
+            "traffic", "fleet", "ras", "availability_floor", "quick", "load",
+            "admission", "autoscaler", "class_availability_floors",
+            "overload_multipliers", "powercap", "cap_multipliers", "sdc",
+            "max_sdc_served", "sdc_detection_latency_ms",
+        ]
 
 
 class TestInvariantChecks:

@@ -1,5 +1,7 @@
 """Unit tests for the autoscaler control loop (repro.serving.autoscale)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.errors import ReproRuntimeError
@@ -16,6 +18,13 @@ def _tick(scaler, t_ms, active, bp=0.0, latencies=()):
 
 
 class TestConfigValidation:
+    def test_holds_only_the_knobs_a_caller_sets(self):
+        # The backpressure band is BACKPRESSURE_LOW/HIGH in the module.
+        assert [f.name for f in fields(AutoscalerConfig)] == [
+            "min_active", "max_active", "eval_interval_ms", "p99_targets_ms",
+            "cooldown_ms", "scale_down_consecutive",
+        ]
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ReproRuntimeError, match="min_active"):
             AutoscalerConfig(min_active=0)
@@ -27,10 +36,6 @@ class TestConfigValidation:
             AutoscalerConfig(eval_interval_ms=0.0)
         with pytest.raises(ReproRuntimeError, match="cooldown"):
             AutoscalerConfig(cooldown_ms=-1.0)
-
-    def test_bad_backpressure_band_rejected(self):
-        with pytest.raises(ReproRuntimeError, match="backpressure"):
-            AutoscalerConfig(backpressure_low=0.8, backpressure_high=0.5)
 
     def test_bad_streak_rejected(self):
         with pytest.raises(ReproRuntimeError, match="scale_down_consecutive"):

@@ -14,14 +14,16 @@ import pytest
 import repro.serving.fleet as fleet_module
 from repro.caching import COMPILE_CACHE, MEASUREMENT_CACHE, MeasurementCache
 from repro.core.errors import ReproRuntimeError
-from repro.faults import FaultSchedule, StormPhase
+from repro.faults import FaultPlan, FaultSchedule, StormPhase
 from repro.obs import Observability
 from repro.serving import (
     FleetConfig,
     FleetManager,
+    LoadSpec,
     RasConfig,
     ReplicaStatus,
     Request,
+    SloClass,
     TenantConfig,
     TrafficPattern,
     generate_trace,
@@ -34,6 +36,9 @@ from repro.serving.sdc import SdcConfig
 SERVICE = {"a": 1.0e6, "b": 5.0e6}
 POWERCAP = partial(PowerCapConfig, fleet_budget_watts=400.0)
 PHASE = partial(PowerCapPhase, start_s=0.1, end_s=0.2, budget_watts=300.0)
+SLO_CLASS = partial(SloClass, "interactive", queue_limit=8, shed_priority=0)
+TRAFFIC = partial(TrafficPattern, "a")
+LOAD = partial(LoadSpec, "a", rate_per_s=100.0)
 
 
 def _tenants():
@@ -159,6 +164,12 @@ class TestBringUp:
             (AutoscalerConfig, "cooldown_ms"),
             (SdcConfig, "screen_interval_ms"),
             (SdcConfig, "screen_cost_ms"),
+            (SLO_CLASS, "deadline_ms"),
+            (TRAFFIC, "rate_per_s"),
+            (LOAD, "rate_per_s"),
+            (LOAD, "period_s"),
+            (partial(StormPhase, end_s=1.0, plan=FaultPlan()), "start_s"),
+            (partial(StormPhase, start_s=0.0, plan=FaultPlan()), "end_s"),
         ],
     )
     def test_non_finite_config_values_rejected(self, config, field, value):

@@ -124,13 +124,13 @@ class TestSaturationAcceptance:
 
 
 class TestAutoscaledOverload:
-    # Shedding keeps latency low, so the scale-up vote must come from the
-    # backpressure signal: trigger below the brownout_enter (0.5) the
-    # admission policy sheds at.
+    # Shedding caps the served tail (interactive p99 ~25 ms) and holds
+    # backpressure under the 0.75 scale-up threshold, so the vote must
+    # come from p99 targets set below that shed-bounded tail.
     AUTOSCALER = AutoscalerConfig(
         min_active=1, max_active=4, eval_interval_ms=25.0,
-        cooldown_ms=75.0, backpressure_high=0.4, backpressure_low=0.1,
-        p99_targets_ms=(("interactive", 40.0), ("standard", 150.0)),
+        cooldown_ms=75.0,
+        p99_targets_ms=(("interactive", 15.0), ("standard", 30.0)),
     )
 
     def test_autoscaler_absorbs_the_storm_without_flapping(self):

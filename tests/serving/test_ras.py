@@ -21,6 +21,7 @@ from repro.serving import (
     TrafficPattern,
     generate_trace,
 )
+from repro.serving.server import TRANSFERS_PER_REQUEST
 
 SERVICE = {"a": 1.0e6, "b": 10.0e6}  # 1 ms and 10 ms service times
 
@@ -101,10 +102,9 @@ class TestAttemptPath:
 
     def test_odds_compound_the_plan_rates_per_batch_size(self):
         plan = TestFaultCampaign.PLAN
-        ras = RasConfig(transfers_per_request=16)
-        server = _server(plan=plan, ras=ras)
+        server = _server(plan=plan)
         for batch in range(1, 9):
-            events = ras.transfers_per_request * batch
+            events = TRANSFERS_PER_REQUEST * batch
             assert server.attempt_odds(batch) == (
                 1 - (1 - plan.fatal_event_rate) ** events,
                 1 - (1 - plan.transient_event_rate) ** events,
@@ -142,7 +142,7 @@ class TestFaultCampaign:
         dma_abort_rate=0.0002,
         ecc_ue_rate=0.0002,
     )
-    RAS = RasConfig(max_retries=3, retry_backoff_ms=0.05, queue_depth_limit=64)
+    RAS = RasConfig(max_retries=3, queue_depth_limit=64)
 
     def test_two_tenant_campaign_survives_with_bounded_sla(self):
         trace = _trace()

@@ -1,9 +1,11 @@
-"""RasConfig field validation + the knobs it gates (backoff, deadline).
+"""RasConfig field validation + what it gates (backoff, deadline).
 
 A misconfigured reliability policy must fail construction loudly with a
 ReproRuntimeError naming the field — not silently serve with nonsense
 retry math.
 """
+
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.serving import (
     TrafficPattern,
     generate_trace,
 )
+from repro.serving.server import BACKOFF_FACTOR, RETRY_BACKOFF_MS, backoff_ns
 
 SERVICE = {"a": 1.0e6}
 
@@ -33,16 +36,21 @@ class TestValidation:
     def test_defaults_are_valid(self):
         RasConfig()
 
+    def test_holds_only_the_knobs_a_caller_sets(self):
+        # Backoff shape and per-request event exposure are module
+        # constants of repro.serving.server.
+        assert [f.name for f in fields(RasConfig)] == [
+            "max_retries", "queue_depth_limit", "breaker_threshold",
+            "min_groups", "deadline_ms",
+        ]
+
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
             ({"max_retries": -1}, "max_retries"),
-            ({"retry_backoff_ms": -0.1}, "retry_backoff_ms"),
-            ({"backoff_factor": 0.5}, "backoff_factor"),
             ({"queue_depth_limit": 0}, "queue_depth_limit"),
             ({"breaker_threshold": 0}, "breaker_threshold"),
             ({"min_groups": 0}, "min_groups"),
-            ({"transfers_per_request": 0}, "transfers_per_request"),
             ({"deadline_ms": 0.0}, "deadline_ms"),
             ({"deadline_ms": -5.0}, "deadline_ms"),
         ],
@@ -59,9 +67,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"backoff_factor": float("nan")},
-            {"retry_backoff_ms": float("nan")},
-            {"retry_backoff_ms": float("inf")},
             {"deadline_ms": float("nan")},
             {"deadline_ms": float("inf")},
         ],
@@ -93,9 +98,8 @@ class TestValidation:
 
     def test_boundary_values_accepted(self):
         RasConfig(
-            max_retries=0, retry_backoff_ms=0.0, backoff_factor=1.0,
-            queue_depth_limit=1, breaker_threshold=1, min_groups=1,
-            transfers_per_request=1, deadline_ms=0.001,
+            max_retries=0, queue_depth_limit=1, breaker_threshold=1,
+            min_groups=1, deadline_ms=0.001,
         )
 
     def test_none_disables_optional_limits(self):
@@ -118,31 +122,11 @@ class TestDeadline:
         assert tight.failed == free.failed == 0
 
 
-class TestBackoffFactor:
-    def test_flat_backoff_is_no_slower_than_exponential(self):
-        # with faults forced via transfers_per_request the retry paths
-        # exercise the factor; flat backoff (1.0) accrues less penalty
-        from repro.faults import FaultPlan
-
-        plan = FaultPlan(seed=3, dma_corrupt_rate=0.02)
-        def run(factor):
-            server = InferenceServer(
-                [TenantConfig("a", "resnet50", groups=2, max_batch=1,
-                              sla_ms=None)],
-                service_times_ns=dict(SERVICE),
-                fault_plan=plan,
-                ras=RasConfig(
-                    max_retries=3, retry_backoff_ms=5.0,
-                    backoff_factor=factor,
-                ),
-            )
-            trace = generate_trace(
-                [TrafficPattern("a", 100.0)], duration_s=1.0
-            )
-            return server.run(trace)["a"]
-
-        flat = run(1.0)
-        exponential = run(4.0)
-        assert flat.retried == exponential.retried  # same fault draws
-        assert flat.retried > 0
-        assert flat.p99_ms <= exponential.p99_ms
+class TestBackoff:
+    def test_backoff_grows_by_the_factor_per_retry(self):
+        assert [backoff_ns(retries) for retries in (1, 2, 3)] == [
+            RETRY_BACKOFF_MS * 1e6,
+            RETRY_BACKOFF_MS * 1e6 * BACKOFF_FACTOR,
+            RETRY_BACKOFF_MS * 1e6 * BACKOFF_FACTOR ** 2,
+        ]
+        assert BACKOFF_FACTOR >= 1.0  # backoff never shrinks

@@ -1,5 +1,7 @@
 """Unit tests for the execution trace."""
 
+import random
+
 import pytest
 
 from repro.sim import Interval, Trace
@@ -104,3 +106,75 @@ def test_engines_listing():
     trace.record("a", "x", 0.0, 1.0)
     trace.record("b", "x", 0.0, 1.0)
     assert trace.engines() == {"a", "b"}
+
+
+# -- busy_time against its pinned oracle ---------------------------------------
+
+ENGINES = ("core.g0", "dma.g0")
+
+
+def _record_random(trace, rng, count, horizon):
+    """Overlapping, nested and zero-length intervals on two engines."""
+    for _ in range(count):
+        engine = rng.choice(ENGINES)
+        start = rng.uniform(0.0, horizon)
+        shape = rng.random()
+        if shape < 0.15:
+            end = start  # zero-length
+        elif shape < 0.45:
+            end = start + rng.uniform(0.0, 0.7)  # short: often nested
+        else:
+            end = start + rng.expovariate(1.0 / 60.0)  # long: overlaps
+        trace.record(engine, "x", start, end)
+
+
+def _candidates(trace, engine, start, end):
+    return sum(
+        1 for interval in trace.intervals
+        if interval.engine == engine
+        and interval.end > start and interval.start < end
+    )
+
+
+def _assert_matches_reference(trace, engine, start, end):
+    got = trace.busy_time(engine, start, end)
+    want = trace._busy_time_reference(engine, start, end)
+    assert got.hex() == want.hex(), (engine, start, end)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_busy_time_is_bit_identical_to_the_reference(seed):
+    rng = random.Random(seed)
+    trace = Trace()
+    _record_random(trace, rng, count=600, horizon=1000.0)
+    window = 15.0  # the power loop's forward-moving windows
+    for engine in ENGINES:
+        start = 0.0
+        while start < trace.end_time():
+            _assert_matches_reference(trace, engine, start, start + window)
+            start += window
+        # a backward query resets the skip pointer
+        _assert_matches_reference(trace, engine, 0.0, trace.end_time())
+        _assert_matches_reference(trace, engine, 100.0, 700.0)
+        for _ in range(50):
+            lo, hi = sorted(rng.uniform(0.0, 1100.0) for _ in range(2))
+            _assert_matches_reference(trace, engine, lo, hi)
+    # the full-range query merged candidate sets well over 64 intervals
+    assert _candidates(trace, ENGINES[0], 0.0, trace.end_time()) > 64
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_busy_time_tracks_the_reference_while_the_trace_grows(seed):
+    # The power loop queries each closed window while later intervals are
+    # still being recorded.
+    rng = random.Random(seed)
+    trace = Trace()
+    window = 15.0
+    for step in range(60):
+        _record_random(trace, rng, count=12, horizon=(step + 1) * window)
+        for engine in ENGINES:
+            _assert_matches_reference(
+                trace, engine, step * window, (step + 1) * window
+            )
+    for engine in ENGINES:
+        _assert_matches_reference(trace, engine, 0.0, trace.end_time())
