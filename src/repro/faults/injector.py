@@ -233,17 +233,10 @@ class FaultInjector:
 
     # -- silent corruption (never raises, never perturbs timing) --------------
 
-    def _silent_core(self) -> int:
-        """Attribute one silent fault to a core (plan-pinned or drawn)."""
-        cores = self.plan.sdc_cores
-        if cores:
-            return cores[self._rng.randrange(len(cores))] if len(cores) > 1 else cores[0]
-        return self._rng.randrange(4)
-
     def _silent(self, rate: float, kind: str, component: str, time_ns: float, detail: str) -> bool:
         if not self._draw(rate):
             return False
-        core = self._silent_core()
+        core = self.plan.pick_sdc_core(self._rng)
         self.record(
             kind, component, time_ns, recovered=False,
             detail=f"core{core}: mantissa {detail}".rstrip(),

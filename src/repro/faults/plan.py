@@ -13,13 +13,16 @@ Rates are per *event* at the component's natural granularity:
 - ``sync_loss_rate`` — per synchronization-engine operation.
 
 The latency penalties recovery costs are module constants, the same for
-every campaign.
+every campaign. The serving layer never draws per event:
+:meth:`FaultPlan.odds` compounds the rates over the
+``TRANSFERS_PER_REQUEST`` events of an inference into per-attempt odds,
+the one place that compounding lives.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 from repro.core.errors import reject_non_finite
 
@@ -33,6 +36,10 @@ CORE_SLOWDOWN_FACTOR = 2.0
 WATCHDOG_TIMEOUT_NS = 200_000.0
 #: Recovery latency of a lost synchronization event.
 SYNC_TIMEOUT_NS = 5_000.0
+#: Hardware fault events one inference is exposed to (per sample).
+TRANSFERS_PER_REQUEST = 16
+#: Cores a silent fault is attributed to when ``sdc_cores`` is empty.
+SDC_CORES = 4
 
 
 @dataclass(frozen=True)
@@ -80,15 +87,9 @@ class FaultPlan:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if any(core < 0 for core in self.sdc_cores):
             raise ValueError(f"sdc_cores must be >= 0, got {self.sdc_cores}")
-
-    @cached_property
-    def enabled(self) -> bool:
-        """True when any fault rate is non-zero.
-
-        Computed once per plan: the plan is frozen, and
-        ``dataclasses.replace`` builds a new instance with its own cache.
-        """
-        return any(getattr(self, name) > 0.0 for name in RATE_FIELDS)
+        # Per-batch-size memo for :meth:`odds`; the plan is frozen, and
+        # ``dataclasses.replace`` builds a new instance with its own memo.
+        object.__setattr__(self, "_odds_memo", {})
 
     # -- aggregate views the serving layer plans with -----------------------
 
@@ -122,6 +123,36 @@ class FaultPlan:
             * (1.0 - self.sdc_sparse_rate)
         )
         return 1.0 - survive
+
+    def odds(self, batch: int = 1) -> tuple[float, float, float]:
+        """``(p_fatal, p_transient, p_silent)`` of one attempt of ``batch``.
+
+        Each compounds its aggregate per-event rate over
+        ``TRANSFERS_PER_REQUEST * batch`` hardware events. An aggregate
+        rate is ``1 -`` a float product, so its odds are 0 exactly when
+        the rate is: callers skip the draw on 0 and quiet plans consume
+        no randomness. Resolved once per batch size.
+        """
+        odds = self._odds_memo.get(batch)
+        if odds is None:
+            events = TRANSFERS_PER_REQUEST * batch
+            odds = self._odds_memo[batch] = (
+                1.0 - (1.0 - self.fatal_event_rate) ** events,
+                1.0 - (1.0 - self.transient_event_rate) ** events,
+                1.0 - (1.0 - self.silent_event_rate) ** events,
+            )
+        return odds
+
+    def pick_sdc_core(self, rng: random.Random) -> int:
+        """The defective core one silent fault is attributed to.
+
+        One of ``sdc_cores`` (drawn only when there are several), else
+        any of the ``SDC_CORES`` cores, drawn from the caller's ``rng``.
+        """
+        cores = self.sdc_cores
+        if cores:
+            return cores[rng.randrange(len(cores))] if len(cores) > 1 else cores[0]
+        return rng.randrange(SDC_CORES)
 
 
 #: Names of every per-event fault rate field, in declaration order.

@@ -5,9 +5,11 @@ campaign. Chaos engineering needs more shape than that: storms that ramp
 up, bursts pinned to a window, a device killed outright for half a second,
 correlated outages hitting several boards at once. A
 :class:`FaultSchedule` composes a background plan with a list of
-:class:`StormPhase` windows and answers, for any (time, device) pair, the
-*effective* plan in force — which the fleet layer samples per request and
-attaches to repair-probe launches.
+:class:`StormPhase` windows and answers one question,
+:meth:`FaultSchedule.plan_at`: the *effective* plan in force for a
+(time, device) pair. The fleet draws each attempt against that plan's
+:meth:`~repro.faults.plan.FaultPlan.odds` and attaches the plan to
+repair-probe launches.
 
 Everything here is pure configuration: no randomness, no clocks. Draws
 against the effective rates happen in the consumer (fleet / server) from
@@ -37,7 +39,9 @@ class StormPhase:
     """Rates injected while the phase is active (its seed and
     ``sdc_cores`` are ignored — the schedule's base plan supplies them)."""
     devices: tuple[int, ...] | None = None
-    """Replica indices the storm hits; ``None`` means every device."""
+    """Replica indices the storm hits; ``None`` means every device. A
+    tuple names at least one index, each ``>= 0``; the fleet checks the
+    upper end against its size."""
     ramp: bool = False
     """Linearly ramp rates from zero at ``start_s`` to full at ``end_s``."""
 
@@ -50,6 +54,12 @@ class StormPhase:
         if self.end_s <= self.start_s:
             raise ReproRuntimeError(
                 f"storm window is empty: [{self.start_s}, {self.end_s})"
+            )
+        if self.devices is not None and (
+            not self.devices or min(self.devices) < 0
+        ):
+            raise ReproRuntimeError(
+                f"storm devices must name replicas >= 0, got {self.devices}"
             )
 
     @classmethod
@@ -106,37 +116,3 @@ class FaultSchedule:
                 )
             overrides[name] = 1.0 - survive
         return replace(self.base, **overrides)
-
-    def rates_at(self, time_ns: float, device: int) -> tuple[float, float]:
-        """Effective ``(transient_event_rate, fatal_event_rate)`` per event."""
-        plan = self.plan_at(time_ns, device)
-        return plan.transient_event_rate, plan.fatal_event_rate
-
-    def silent_rate_at(self, time_ns: float, device: int) -> float:
-        """Effective silent-corruption rate per event (0 on a quiet path).
-
-        Kept separate from :meth:`rates_at` so existing consumers draw the
-        same stream positions: a schedule with no silent rates never calls
-        this into a randomness-consuming branch.
-        """
-        if not self.any_silent:
-            return 0.0
-        return self.plan_at(time_ns, device).silent_event_rate
-
-    @property
-    def any_silent(self) -> bool:
-        """True when any plan (background or storm) can silently corrupt."""
-        return self.base.silent_event_rate > 0.0 or any(
-            phase.plan.silent_event_rate > 0.0 for phase in self.phases
-        )
-
-    @property
-    def quiet(self) -> bool:
-        """True when nothing (background or storm) ever injects a fault."""
-        return not self.base.enabled and not any(
-            phase.plan.enabled for phase in self.phases
-        )
-
-    def horizon_s(self) -> float:
-        """Last storm end — scenarios should outlast this to see recovery."""
-        return max((phase.end_s for phase in self.phases), default=0.0)

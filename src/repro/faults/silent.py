@@ -157,7 +157,7 @@ class SilentCorruptor:
         original = float(flat[index])
         corrupted = self._flip(original)
         flat[index] = corrupted
-        core = self._core()
+        core = self.plan.pick_sdc_core(self._rng)
         event = CorruptionEvent(
             site=site, core=core, index=index,
             original=original, corrupted=corrupted,
@@ -173,12 +173,6 @@ class SilentCorruptor:
                 detail=self._detail(event), detected=False,
             )
         return array
-
-    def _core(self) -> int:
-        cores = self.plan.sdc_cores
-        if cores:
-            return cores[self._rng.randrange(len(cores))] if len(cores) > 1 else cores[0]
-        return self._rng.randrange(4)
 
     def _flip(self, value: float) -> float:
         bits = int(np.float64(value).view(np.uint64))

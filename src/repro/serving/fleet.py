@@ -50,7 +50,6 @@ from repro.runtime.runtime import Device
 from repro.seeding import derive_rng, derive_seed
 from repro.serving.routing import Backlog, HeapRouter, ReplicaStatus
 from repro.serving.server import (
-    TRANSFERS_PER_REQUEST,
     ClassBook,
     RasConfig,
     SloClassStats,
@@ -375,6 +374,13 @@ class FleetManager:
         self.tenants = {tenant.name: tenant for tenant in tenants}
         self.config = config or FleetConfig()
         self.schedule = schedule or FaultSchedule()
+        size = self.config.replicas + self.config.hot_spares
+        for phase in self.schedule.phases:
+            if phase.devices is not None and max(phase.devices) >= size:
+                raise ReproRuntimeError(
+                    f"storm targets replicas {phase.devices}, but the fleet "
+                    f"has r0..r{size - 1}"
+                )
         self.ras = ras or RasConfig()
         self.obs = obs
         # SLO-class admission (AdmissionPolicy) supersedes the flat
@@ -529,7 +535,6 @@ class FleetManager:
             self._sdc = SdcTracker(
                 self.sdc_config, cfg.seed, self.schedule,
                 [replica.name for replica in self._replicas],
-                TRANSFERS_PER_REQUEST,
             )
         rngs = {
             replica.name: derive_rng(cfg.seed, "serve", replica.name)
@@ -987,16 +992,12 @@ class FleetManager:
         # when uncapped).
         service = service * replica.power_dilation
         tracker = self._sdc
-        events_per_attempt = TRANSFERS_PER_REQUEST * batch
         now = start
         retries = 0
         while True:
-            dispatch_ns = now
-            transient_rate, fatal_rate = self.schedule.rates_at(
+            p_fatal, p_transient, p_silent = self.schedule.plan_at(
                 now, replica.index
-            )
-            p_fatal = 1.0 - (1.0 - fatal_rate) ** events_per_attempt
-            p_transient = 1.0 - (1.0 - transient_rate) ** events_per_attempt
+            ).odds(batch)
             now += service
             if p_fatal > 0.0 and rng.random() < p_fatal:
                 return now, "fatal", retries, False
@@ -1008,10 +1009,7 @@ class FleetManager:
                 continue
             corrupted = False
             if tracker is not None:
-                corrupted = tracker.attempt_corrupted(
-                    replica.name, replica.index, dispatch_ns,
-                    events_per_attempt,
-                )
+                corrupted = tracker.attempt_corrupted(replica.name, p_silent)
                 if corrupted and tracker.abft_detects(replica.name):
                     # Caught before the result leaves the replica: the
                     # wrong answer is discarded and the batch re-executes.
@@ -1257,14 +1255,12 @@ class FleetManager:
                 else f"{cfg.screen_vectors} probe vectors clean "
                      f"(attempt {attempt})"
             )
-        if ok and self._sdc is not None and plan.silent_event_rate > 0.0:
+        p_vector = plan.odds()[2]
+        if ok and self._sdc is not None and p_vector > 0.0:
             # Statistical corruption screen over the same vectors: any
             # silently-wrong golden output fails the probe (the digest
             # comparison is exact) and counts as a screen detection.
             rng = derive_rng(cfg.seed, "probe-screen", replica.name, attempt)
-            p_vector = 1.0 - (
-                1.0 - plan.silent_event_rate
-            ) ** TRANSFERS_PER_REQUEST
             for vector in range(cfg.screen_vectors):
                 if rng.random() < p_vector:
                     ok = False

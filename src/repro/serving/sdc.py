@@ -144,11 +144,9 @@ class SdcTracker:
         seed: int,
         schedule: FaultSchedule,
         replica_names: list[str],
-        events_per_request: int,
     ) -> None:
         self.config = config
         self.schedule = schedule
-        self.events_per_request = max(1, events_per_request)
         self._rng_sdc = {
             name: derive_rng(seed, "sdc", name) for name in replica_names
         }
@@ -177,22 +175,16 @@ class SdcTracker:
 
     # -- draws ----------------------------------------------------------------
 
-    def _p_events(self, rate: float, events: int) -> float:
-        return 1.0 - (1.0 - rate) ** events
-
-    def attempt_corrupted(
-        self, name: str, index: int, time_ns: float, events: int
-    ) -> bool:
+    def attempt_corrupted(self, name: str, p_silent: float) -> bool:
         """Did a silent corruption land in this service attempt?
 
-        Drawn from the replica's dedicated ``sdc`` stream; a zero
-        effective rate consumes no randomness, so quiet schedules leave
-        every stream untouched.
+        ``p_silent`` is the attempt's odds (:meth:`FaultPlan.odds`), drawn
+        from the replica's dedicated ``sdc`` stream; zero odds consume no
+        randomness, so quiet schedules leave every stream untouched.
         """
-        rate = self.schedule.silent_rate_at(time_ns, index)
-        if rate <= 0.0:
+        if p_silent <= 0.0:
             return False
-        if self._rng_sdc[name].random() < self._p_events(rate, events):
+        if self._rng_sdc[name].random() < p_silent:
             self.injected += 1
             return True
         return False
@@ -222,12 +214,10 @@ class SdcTracker:
         Drawn from the fleet-level ``audit`` stream (not the secondary's
         serving or sdc streams), so audit load never shifts the primary
         corruption sequence."""
-        rate = self.schedule.silent_rate_at(time_ns, index)
-        if rate <= 0.0:
+        p_silent = self.schedule.plan_at(time_ns, index).odds()[2]
+        if p_silent <= 0.0:
             return False
-        if self._rng_audit.random() < self._p_events(
-            rate, self.events_per_request
-        ):
+        if self._rng_audit.random() < p_silent:
             self.injected += 1
             return True
         return False
@@ -277,8 +267,7 @@ class SdcTracker:
         resolution — the served bucket is not revised).
         """
         rng = self._rng_screen[name]
-        rate = self.schedule.silent_rate_at(now_ns, index)
-        p_vector = self._p_events(rate, self.events_per_request)
+        p_vector = self.schedule.plan_at(now_ns, index).odds()[2]
         corrupted = 0
         for _vector in range(self.config.screen_vectors):
             if p_vector > 0.0 and rng.random() < p_vector:

@@ -24,9 +24,9 @@ RAS layer (reliability/availability/serviceability)
 A server built with a :class:`~repro.faults.FaultPlan` replays the fault
 campaign at request granularity: each service attempt draws transient
 (DMA corruption, correctable ECC) and fatal (DMA abort, uncorrectable
-ECC, core hang) faults from a deterministic per-run RNG, at the plan's
-per-event rates compounded over ``TRANSFERS_PER_REQUEST`` hardware
-events per inference. The server *survives* them:
+ECC, core hang) faults from a deterministic per-run RNG, at the
+per-attempt odds :meth:`~repro.faults.plan.FaultPlan.odds` compounds
+from the plan's per-event rates. The server *survives* them:
 
 - **retry with backoff** — a transiently-faulted batch replays up to
   ``max_retries`` times, each attempt paying the full service time plus
@@ -98,8 +98,6 @@ RETRY_BACKOFF_MS = 0.1
 #: Multiplier applied to the backoff after each retry (>= 1: backoff
 #: never shrinks).
 BACKOFF_FACTOR = 2.0
-#: Hardware fault events one inference is exposed to (per sample).
-TRANSFERS_PER_REQUEST = 16
 
 
 def backoff_ns(retries: int) -> float:
@@ -184,7 +182,6 @@ class TenantHealth:
         self.available = groups
         self.threshold = threshold
         self.min_groups = min(min_groups, groups)
-        self.breaker_trips = 0
         self._failures = [0] * groups  # consecutive faults per live group
 
     @property
@@ -202,31 +199,9 @@ class TenantHealth:
         self._failures[slot] += 1
         if self._failures[slot] >= self.threshold and self.available > self.min_groups:
             self.available -= 1
-            self.breaker_trips += 1
             del self._failures[slot]
             return True
         return False
-
-    def restore_group(self) -> bool:
-        """Reintegrate one routed-around group after repair.
-
-        The repaired group rejoins with a clean failure streak; returns
-        False (no-op) when the slice is already at full strength. This is
-        the path fleet repair drives when a quarantined device comes back.
-        """
-        if self.available >= self.configured:
-            return False
-        self.available += 1
-        self._failures.append(0)
-        return True
-
-    def reset(self) -> None:
-        """Full circuit-breaker reset: all groups live, streaks cleared.
-
-        ``breaker_trips`` is cumulative history and survives the reset.
-        """
-        self.available = self.configured
-        self._failures = [0] * self.configured
 
 
 @dataclass
@@ -582,7 +557,8 @@ class InferenceServer:
             raise ValueError(f"duplicate tenant names: {names}")
         self.tenants = {tenant.name: tenant for tenant in tenants}
         self.isolated = isolated
-        self.fault_plan = fault_plan
+        # No plan is the fault-free plan: zero odds, draw streams off seed 0.
+        self.fault_plan = fault_plan or FaultPlan()
         self.obs = obs
         self.measurement_fault_plan = measurement_fault_plan
         self.ras = ras or RasConfig()
@@ -613,7 +589,6 @@ class InferenceServer:
         self._degraded_times: dict[tuple[str, int], float] = dict(
             degraded_service_times_ns or {}
         )
-        self._odds: dict[int, tuple[float, float]] = {}
 
     # -- service-time resolution ---------------------------------------------
 
@@ -648,29 +623,6 @@ class InferenceServer:
 
     # -- fault draws -----------------------------------------------------------
 
-    def attempt_odds(self, batch_size: int) -> tuple[float, float]:
-        """``(p_fatal, p_transient)`` of one service attempt of a batch.
-
-        Each compounds the plan's per-event rate over
-        ``TRANSFERS_PER_REQUEST * batch_size`` hardware events. Without a
-        plan, or with zero fatal and transient rates, both are 0 and an
-        attempt draws nothing. Resolved once per batch size.
-        """
-        odds = self._odds.get(batch_size)
-        if odds is None:
-            plan = self.fault_plan
-            fatal, transient = (
-                (plan.fatal_event_rate, plan.transient_event_rate)
-                if plan is not None
-                else (0.0, 0.0)
-            )
-            events = TRANSFERS_PER_REQUEST * batch_size
-            odds = self._odds[batch_size] = (
-                1.0 - (1.0 - fatal) ** events,
-                1.0 - (1.0 - transient) ** events,
-            )
-        return odds
-
     def _serve_batch(
         self,
         batch_size: int,
@@ -685,7 +637,7 @@ class InferenceServer:
         add exponential backoff then replay, fatal faults fail the batch
         and feed the circuit breaker.
         """
-        p_fatal, p_transient = self.attempt_odds(batch_size)
+        p_fatal, p_transient, _ = self.fault_plan.odds(batch_size)
         service = batch_service_time_ns(base_ns, batch_size)
         now = start_ns
         retries = 0
@@ -870,8 +822,7 @@ class InferenceServer:
         stream name is exactly the historical ``f"{seed}:{label}"`` key —
         existing campaigns reproduce bit-identically.
         """
-        seed = self.fault_plan.seed if self.fault_plan is not None else 0
-        return derive_rng(seed, label)
+        return derive_rng(self.fault_plan.seed, label)
 
     def _collect_batch(
         self,

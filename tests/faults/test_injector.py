@@ -1,6 +1,7 @@
 """Unit tests for FaultPlan / FaultInjector (determinism, hooks, records)."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -21,17 +22,14 @@ from repro.faults.plan import (
     CORE_SLOWDOWN_FACTOR,
     ECC_RETRY_NS,
     RATE_FIELDS,
+    SDC_CORES,
     WATCHDOG_TIMEOUT_NS,
 )
 
 
 class TestFaultPlan:
-    def test_default_plan_is_disabled(self):
-        assert not FaultPlan().enabled
-
-    def test_any_rate_enables(self):
-        assert FaultPlan(dma_corrupt_rate=0.01).enabled
-        assert FaultPlan(sync_loss_rate=0.5).enabled
+    def test_default_plan_has_zero_odds(self):
+        assert FaultPlan().odds() == (0.0, 0.0, 0.0)
 
     def test_rates_validated(self):
         with pytest.raises(ValueError):
@@ -63,20 +61,31 @@ class TestFaultPlan:
             FaultPlan(**kwargs)
 
     @pytest.mark.parametrize("name", RATE_FIELDS)
-    def test_enabled_matches_the_fields_walk(self, name):
-        def walk(plan):
-            return any(
-                getattr(plan, spec.name) > 0.0
-                for spec in dataclasses.fields(plan)
-                if spec.name.endswith("_rate")
+    def test_odds_are_zero_exactly_when_the_aggregate_rate_is(self, name):
+        def aggregates(plan):
+            return (
+                plan.fatal_event_rate,
+                plan.transient_event_rate,
+                plan.silent_event_rate,
             )
 
         plan = FaultPlan(**{name: 0.25})
-        assert plan.enabled is walk(plan) is True
-        # replace() builds a new plan: no cached value is carried across
+        assert [p > 0.0 for p in plan.odds(4)] == [
+            rate > 0.0 for rate in aggregates(plan)
+        ]
+        # replace() builds a new plan: no memoised odds carry across
         cleared = dataclasses.replace(plan, **{name: 0.0})
-        assert cleared.enabled is walk(cleared) is False
-        assert dataclasses.replace(cleared, **{name: 0.5}).enabled is True
+        assert cleared.odds(4) == (0.0, 0.0, 0.0)
+
+    def test_sdc_core_pick(self):
+        rng, twin = random.Random(3), random.Random(3)
+        # a single pinned core is taken without a draw
+        assert FaultPlan(sdc_cores=(2,)).pick_sdc_core(rng) == 2
+        assert rng.random() == twin.random()
+        pinned = FaultPlan(sdc_cores=(1, 3))
+        assert {pinned.pick_sdc_core(rng) for _ in range(50)} == {1, 3}
+        anywhere = {FaultPlan().pick_sdc_core(rng) for _ in range(200)}
+        assert anywhere == set(range(SDC_CORES))
 
     def test_rate_fields_are_every_rate(self):
         assert RATE_FIELDS == tuple(

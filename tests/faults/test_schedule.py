@@ -10,6 +10,10 @@ def _s(seconds):
     return seconds * 1e9
 
 
+def _silent(schedule, seconds, device=0):
+    return schedule.plan_at(_s(seconds), device).silent_event_rate
+
+
 class TestStormPhase:
     def test_window_is_half_open(self):
         phase = StormPhase(0.1, 0.2, FaultPlan(dma_corrupt_rate=0.5))
@@ -62,14 +66,17 @@ class TestStormPhase:
         with pytest.raises(ReproRuntimeError, match="empty"):
             StormPhase.kill(device=0, at_s=0.1, duration_s=0.0)
 
+    @pytest.mark.parametrize("devices", [(), (-1,), (0, -2)])
+    def test_storm_aimed_at_no_replica_rejected(self, devices):
+        with pytest.raises(ReproRuntimeError, match="devices"):
+            StormPhase(0.0, 1.0, FaultPlan(), devices=devices)
+
 
 class TestFaultSchedule:
-    def test_empty_schedule_is_quiet_and_returns_base(self):
+    def test_empty_schedule_returns_base(self):
         schedule = FaultSchedule()
-        assert schedule.quiet
         assert schedule.plan_at(_s(0.5), 0) == FaultPlan()
-        assert schedule.rates_at(_s(0.5), 0) == (0.0, 0.0)
-        assert schedule.horizon_s() == 0.0
+        assert schedule.plan_at(_s(0.5), 0).odds() == (0.0, 0.0, 0.0)
 
     def test_base_plan_applies_outside_storms(self):
         base = FaultPlan(dma_corrupt_rate=0.01)
@@ -77,7 +84,6 @@ class TestFaultSchedule:
             base=base,
             phases=(StormPhase(0.5, 0.6, FaultPlan(ecc_ce_rate=0.5)),),
         )
-        assert not schedule.quiet
         assert schedule.plan_at(_s(0.1), 0) == base
         assert schedule.plan_at(_s(0.7), 0) == base
 
@@ -135,29 +141,22 @@ class TestFaultSchedule:
         schedule = FaultSchedule(
             phases=(StormPhase.kill(device=1, at_s=0.0, duration_s=1.0),)
         )
-        assert schedule.rates_at(_s(0.5), 1) == (0.0, 1.0)
-        assert schedule.rates_at(_s(0.5), 0) == (0.0, 0.0)
-
-    def test_horizon_is_the_last_storm_end(self):
-        schedule = FaultSchedule(
-            phases=(
-                StormPhase(0.1, 0.2, FaultPlan(ecc_ce_rate=0.1)),
-                StormPhase(0.05, 0.7, FaultPlan(ecc_ce_rate=0.1)),
-            )
-        )
-        assert schedule.horizon_s() == 0.7
+        # (p_fatal, p_transient, p_silent): a certain fatal on r1 only
+        assert schedule.plan_at(_s(0.5), 1).odds() == (1.0, 0.0, 0.0)
+        assert schedule.plan_at(_s(0.5), 0).odds() == (0.0, 0.0, 0.0)
 
 
 class TestSilentRateComposition:
-    """silent_rate_at / any_silent: the SDC defense's exposure oracle."""
+    """plan_at's silent rate: the SDC defense's exposure oracle."""
 
     def test_silent_free_schedules_report_zero(self):
-        assert not FaultSchedule().any_silent
+        assert _silent(FaultSchedule(), 0.5) == 0.0
         noisy = FaultSchedule(
             phases=(StormPhase(0.0, 1.0, FaultPlan(dma_corrupt_rate=0.5)),)
         )
-        assert not noisy.any_silent  # loud faults are not silent faults
-        assert noisy.silent_rate_at(_s(0.5), 0) == 0.0
+        # loud faults are not silent faults
+        assert _silent(noisy, 0.5) == 0.0
+        assert noisy.plan_at(_s(0.5), 0).odds()[2] == 0.0
 
     def test_silent_rates_compose_as_survival_products(self):
         schedule = FaultSchedule(
@@ -167,10 +166,7 @@ class TestSilentRateComposition:
                 StormPhase(0.0, 1.0, FaultPlan(sdc_sparse_rate=0.5)),
             ),
         )
-        assert schedule.any_silent
-        assert schedule.silent_rate_at(_s(0.5), 0) == pytest.approx(
-            1.0 - 0.9 * 0.8 * 0.5
-        )
+        assert _silent(schedule, 0.5) == pytest.approx(1.0 - 0.9 * 0.8 * 0.5)
 
     def test_overlapping_windows_compose_only_in_the_overlap(self):
         schedule = FaultSchedule(
@@ -179,11 +175,9 @@ class TestSilentRateComposition:
                 StormPhase(0.2, 0.4, FaultPlan(sdc_gemm_rate=0.5)),
             ),
         )
-        assert schedule.silent_rate_at(_s(0.15), 0) == pytest.approx(0.2)
-        assert schedule.silent_rate_at(_s(0.25), 0) == pytest.approx(
-            1.0 - 0.8 * 0.5
-        )
-        assert schedule.silent_rate_at(_s(0.35), 0) == pytest.approx(0.5)
+        assert _silent(schedule, 0.15) == pytest.approx(0.2)
+        assert _silent(schedule, 0.25) == pytest.approx(1.0 - 0.8 * 0.5)
+        assert _silent(schedule, 0.35) == pytest.approx(0.5)
 
     def test_rate_composition_at_half_open_window_boundaries(self):
         # Windows are [start, end): exactly at the second phase's start
@@ -195,12 +189,10 @@ class TestSilentRateComposition:
                 StormPhase(0.2, 0.4, FaultPlan(sdc_gemm_rate=0.5)),
             ),
         )
-        assert schedule.silent_rate_at(_s(0.1), 0) == pytest.approx(0.2)
-        assert schedule.silent_rate_at(_s(0.2), 0) == pytest.approx(
-            1.0 - 0.8 * 0.5
-        )
-        assert schedule.silent_rate_at(_s(0.3), 0) == pytest.approx(0.5)
-        assert schedule.silent_rate_at(_s(0.4), 0) == 0.0
+        assert _silent(schedule, 0.1) == pytest.approx(0.2)
+        assert _silent(schedule, 0.2) == pytest.approx(1.0 - 0.8 * 0.5)
+        assert _silent(schedule, 0.3) == pytest.approx(0.5)
+        assert _silent(schedule, 0.4) == 0.0
 
     def test_device_targeted_silent_storm_spares_the_rest(self):
         schedule = FaultSchedule(
@@ -210,9 +202,8 @@ class TestSilentRateComposition:
                 ),
             ),
         )
-        assert schedule.any_silent
-        assert schedule.silent_rate_at(_s(0.5), 1) == pytest.approx(0.5)
-        assert schedule.silent_rate_at(_s(0.5), 0) == 0.0
+        assert _silent(schedule, 0.5, device=1) == pytest.approx(0.5)
+        assert _silent(schedule, 0.5) == 0.0
 
     def test_ramped_silent_storm_scales_the_rate(self):
         schedule = FaultSchedule(
@@ -222,5 +213,5 @@ class TestSilentRateComposition:
                 ),
             )
         )
-        assert schedule.silent_rate_at(_s(0.0), 0) == 0.0
-        assert schedule.silent_rate_at(_s(0.5), 0) == pytest.approx(0.4)
+        assert _silent(schedule, 0.0) == 0.0
+        assert _silent(schedule, 0.5) == pytest.approx(0.4)

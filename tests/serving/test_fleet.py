@@ -188,6 +188,22 @@ class TestBringUp:
         with pytest.raises(ReproRuntimeError, match="at least one"):
             FleetManager([], service_times_ns=dict(SERVICE))
 
+    @pytest.mark.parametrize("spares, target", [(0, 9), (0, 2), (1, 3)])
+    def test_storm_beyond_the_fleet_rejected(self, spares, target):
+        # r0..r{replicas + spares - 1} exist; a storm on any other index
+        # would inject nothing.
+        schedule = FaultSchedule(phases=(StormPhase.kill(target, 0.1, 0.1),))
+        config = FleetConfig(
+            replicas=2, hot_spares=spares, validate_on_open=False
+        )
+        with pytest.raises(ReproRuntimeError, match="storm targets"):
+            _fleet(config=config, schedule=schedule)
+
+    def test_storm_on_the_last_spare_accepted(self):
+        schedule = FaultSchedule(phases=(StormPhase.kill(2, 0.1, 0.1),))
+        config = FleetConfig(replicas=2, hot_spares=1, validate_on_open=False)
+        assert _fleet(config=config, schedule=schedule).schedule is schedule
+
 
 class TestLazyOpen:
     """A replica's card opens on its first launch, not at bring-up."""

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 
 from repro.faults import FaultPlan
+from repro.faults.plan import TRANSFERS_PER_REQUEST
 from repro.serving import (
     InferenceServer,
     RasConfig,
@@ -21,7 +22,6 @@ from repro.serving import (
     TrafficPattern,
     generate_trace,
 )
-from repro.serving.server import TRANSFERS_PER_REQUEST
 
 SERVICE = {"a": 1.0e6, "b": 10.0e6}  # 1 ms and 10 ms service times
 
@@ -91,28 +91,31 @@ class TestAttemptPath:
     def test_plans_without_transient_or_fatal_rates_match_no_plan(
         self, isolated, rates
     ):
-        # Such a plan is enabled, yet an attempt draws nothing and
+        # Such a plan injects faults, yet an attempt draws nothing and
         # changes no health state: the reports equal the plan-less run.
         plan = FaultPlan(seed=7, **rates)
-        assert plan.enabled
+        assert plan != FaultPlan(seed=7)
         trace = _trace(rate_a=900.0)
         plain = _server(isolated=isolated).run(trace)
         planned = _server(plan=plan, isolated=isolated).run(trace)
         assert _json(planned) == _json(plain)
 
     def test_odds_compound_the_plan_rates_per_batch_size(self):
-        plan = TestFaultCampaign.PLAN
-        server = _server(plan=plan)
+        plan = dataclasses.replace(TestFaultCampaign.PLAN, sdc_gemm_rate=0.01)
         for batch in range(1, 9):
             events = TRANSFERS_PER_REQUEST * batch
-            assert server.attempt_odds(batch) == (
+            assert plan.odds(batch) == (
                 1 - (1 - plan.fatal_event_rate) ** events,
                 1 - (1 - plan.transient_event_rate) ** events,
+                1 - (1 - plan.silent_event_rate) ** events,
             )
+            assert plan.odds(batch) is plan.odds(batch)  # memoised
+        # replace() builds a new plan with its own memo
+        assert dataclasses.replace(plan, sdc_gemm_rate=0.0).odds()[2] == 0.0
 
     def test_no_plan_has_zero_odds(self):
         server = _server()
-        assert [server.attempt_odds(b) for b in (1, 4)] == [(0.0, 0.0)] * 2
+        assert [server.fault_plan.odds(b) for b in (1, 4)] == [(0.0,) * 3] * 2
 
     def test_plan_walks_do_not_grow_with_the_trace(self):
         # Guard against re-deriving the plan per attempt: the number of
@@ -237,7 +240,6 @@ class TestCircuitBreaker:
         assert health.record_failure(0)  # second consecutive failure trips
         assert health.available == 2
         assert health.degraded
-        assert health.breaker_trips == 1
 
     def test_success_clears_streaks(self):
         health = TenantHealth(groups=2, threshold=2, min_groups=1)
@@ -276,68 +278,3 @@ class TestCircuitBreaker:
         server = _server()
         assert server._service_time("a", 2) == SERVICE["a"]
         assert server._service_time("a", 1) == pytest.approx(2 * SERVICE["a"])
-
-
-class TestBreakerRecovery:
-    """Slot recovery + full reset: the paths fleet repair drives."""
-
-    def _tripped(self):
-        health = TenantHealth(groups=3, threshold=1, min_groups=1)
-        assert health.record_failure(0)
-        assert health.available == 2
-        return health
-
-    def test_restore_group_reintegrates_one_slot(self):
-        health = self._tripped()
-        assert health.restore_group()
-        assert health.available == 3
-        assert not health.degraded
-        assert len(health._failures) == 3
-
-    def test_restored_slot_rejoins_with_a_clean_streak(self):
-        health = TenantHealth(groups=3, threshold=2, min_groups=1)
-        health.record_failure(0)
-        assert health.record_failure(0)  # trips: available 3 -> 2
-        health.record_failure(0)  # streak 1 building on a surviving slot
-        assert health.restore_group()
-        # the rejoined slot (appended last) starts at streak 0: one
-        # failure does not trip it, a second consecutive one does
-        assert not health.record_failure(2)
-        assert health.record_failure(2)
-
-    def test_restore_at_full_strength_is_a_noop(self):
-        health = TenantHealth(groups=2, threshold=2, min_groups=1)
-        assert not health.restore_group()
-        assert health.available == 2
-        assert len(health._failures) == 2
-
-    def test_restore_is_incremental(self):
-        health = TenantHealth(groups=4, threshold=1, min_groups=1)
-        health.record_failure(0)
-        health.record_failure(0)
-        assert health.available == 2
-        assert health.restore_group()
-        assert health.available == 3
-        assert health.restore_group()
-        assert health.available == 4
-        assert not health.restore_group()
-
-    def test_reset_restores_full_strength_and_clears_streaks(self):
-        health = self._tripped()
-        health.record_failure(0)  # partial streak on a live slot
-        health.reset()
-        assert health.available == health.configured == 3
-        assert not health.degraded
-        assert health._failures == [0, 0, 0]
-        # a single failure does not instantly re-trip post-reset streaks
-        health_soft = TenantHealth(groups=2, threshold=2, min_groups=1)
-        health_soft.record_failure(0)
-        health_soft.reset()
-        assert not health_soft.record_failure(0)
-
-    def test_reset_preserves_trip_history(self):
-        health = self._tripped()
-        trips = health.breaker_trips
-        assert trips == 1
-        health.reset()
-        assert health.breaker_trips == trips  # cumulative, not state

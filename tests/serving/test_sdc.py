@@ -100,20 +100,23 @@ class TestSdcTrackerLedger:
             seed=0,
             schedule=schedule or SILENT_STORM,
             replica_names=["r0", "r1"],
-            events_per_request=16,
         )
 
     def test_quiet_schedule_draws_nothing(self):
-        tracker = self._tracker(schedule=FaultSchedule())
+        quiet = FaultSchedule()
+        tracker = self._tracker(schedule=quiet)
+        p_silent = quiet.plan_at(0.2e9, 0).odds()[2]
+        assert p_silent == 0.0
         for _ in range(50):
-            assert not tracker.attempt_corrupted("r0", 0, 0.2e9, 16)
+            assert not tracker.attempt_corrupted("r0", p_silent)
         assert tracker.injected == 0
 
     def test_every_event_lands_in_exactly_one_bucket(self):
         tracker = self._tracker()
         inside = 0.2e9  # mid-storm
+        p_silent = SILENT_STORM.plan_at(inside, 0).odds()[2]
         for attempt in range(200):
-            if not tracker.attempt_corrupted("r0", 0, inside, 16):
+            if not tracker.attempt_corrupted("r0", p_silent):
                 continue
             if tracker.abft_detects("r0"):
                 tracker.note_detection(0, "abft", latency_ms=0.5)
@@ -136,9 +139,10 @@ class TestSdcTrackerLedger:
         # The replica's sdc stream is untouched by strict checking: the
         # next corruption draw matches a fresh tracker's first draw.
         fresh = self._tracker()
+        p_silent = SILENT_STORM.plan_at(0.2e9, 0).odds()[2]
         assert tracker.attempt_corrupted(
-            "r0", 0, 0.2e9, 16
-        ) == fresh.attempt_corrupted("r0", 0, 0.2e9, 16)
+            "r0", p_silent
+        ) == fresh.attempt_corrupted("r0", p_silent)
 
     def test_detections_escalate_to_quarantine_then_retire(self):
         tracker = self._tracker(
