@@ -12,7 +12,8 @@ enforce the contract two ways:
   contention, ``AllOf`` joins, deliberate timestamp ties) must produce
   identical event logs and final clocks on both engines;
 - full executor launches on a card built with each engine must produce
-  byte-identical traces, counters and latencies.
+  byte-identical traces, counters and latencies (on the event path, with
+  the closed-form launch substituted away).
 """
 
 from __future__ import annotations
@@ -204,7 +205,14 @@ def _launch(model: str, sim):
 
 
 @pytest.mark.parametrize("model", ["resnet50", "bert_large"])
-def test_full_launch_byte_identical_across_engines(model):
+def test_full_launch_byte_identical_across_engines(model, monkeypatch):
+    from repro.runtime.executor import Executor
+
+    # A fault-free launch would compute its kernel steps in closed form;
+    # substitute that away so both engines run the per-group processes.
+    monkeypatch.setattr(
+        Executor, "_closed_form_applies", lambda self, jobs, groups: False
+    )
     fast = _launch(model, Simulator())
     reference = _launch(model, ReferenceSimulator())
     assert fast["latency_ms"] == reference["latency_ms"]
