@@ -26,6 +26,10 @@ from repro.faults.plan import RATE_FIELDS, FaultPlan
 
 __all__ = ["FaultSchedule", "StormPhase"]
 
+#: Composed-rate plans a schedule keeps before starting over (a ramped
+#: storm composes new rates at every query time).
+_PLAN_MEMO_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class StormPhase:
@@ -94,25 +98,41 @@ class FaultSchedule:
     base: FaultPlan = FaultPlan()
     phases: tuple[StormPhase, ...] = ()
 
+    def __post_init__(self) -> None:
+        # Composed rates -> the plan built for them, so repeated queries
+        # inside one storm share a plan (and its ``odds`` memo).
+        object.__setattr__(self, "_plans", {})
+
     def plan_at(self, time_ns: float, device: int) -> FaultPlan:
         """The effective :class:`FaultPlan` for ``device`` at ``time_ns``.
 
         Rates compose as independent failure sources — the survival
         probabilities multiply: ``1 - (1-base) * prod(1 - storm*ramp)`` —
         so stacking storms never pushes a rate past 1. The seed and the
-        defective cores come from the base plan.
+        defective cores come from the base plan. One plan is built per
+        distinct tuple of composed rates and returned for every later
+        query that composes the same rates.
         """
         live = [
             phase for phase in self.phases if phase.active(time_ns, device)
         ]
         if not live:
             return self.base
-        overrides: dict[str, float] = {}
+        rates = []
         for name in RATE_FIELDS:
             survive = 1.0 - getattr(self.base, name)
             for phase in live:
                 survive *= 1.0 - getattr(phase.plan, name) * phase.intensity(
                     time_ns
                 )
-            overrides[name] = 1.0 - survive
-        return replace(self.base, **overrides)
+            rates.append(1.0 - survive)
+        rates = tuple(rates)
+        plans = self._plans
+        plan = plans.get(rates)
+        if plan is None:
+            if len(plans) >= _PLAN_MEMO_LIMIT:
+                plans.clear()
+            plan = plans[rates] = replace(
+                self.base, **dict(zip(RATE_FIELDS, rates))
+            )
+        return plan

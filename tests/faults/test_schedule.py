@@ -137,6 +137,27 @@ class TestFaultSchedule:
             _s(0.5), 0
         ).dma_corrupt_rate == pytest.approx(0.4)
 
+    def test_one_plan_per_composed_rates(self):
+        storm = StormPhase(0.0, 1.0, FaultPlan(dma_corrupt_rate=0.5))
+        ramp = StormPhase(2.0, 3.0, FaultPlan(ecc_ce_rate=0.8), ramp=True)
+        schedule = FaultSchedule(
+            base=FaultPlan(seed=4, ecc_ue_rate=0.01), phases=(storm, ramp)
+        )
+        inside = schedule.plan_at(_s(0.1), 0)
+        odds = inside.odds(2)
+        # the same storm at another time or device composes the same rates:
+        # the same plan comes back, with its odds already resolved
+        assert schedule.plan_at(_s(0.9), 3) is inside
+        assert schedule.plan_at(_s(0.9), 3).odds(2) is odds
+        # a ramp composes new rates as it grows, each its own plan
+        early, late = schedule.plan_at(_s(2.25), 0), schedule.plan_at(_s(2.75), 0)
+        assert early is not late
+        assert early.ecc_ce_rate < late.ecc_ce_rate
+        assert schedule.plan_at(_s(2.25), 1) is early
+        assert inside.seed == early.seed == 4
+        # outside every storm the base plan itself comes back
+        assert schedule.plan_at(_s(1.5), 0) is schedule.base
+
     def test_per_device_storms_leave_others_clean(self):
         schedule = FaultSchedule(
             phases=(StormPhase.kill(device=1, at_s=0.0, duration_s=1.0),)

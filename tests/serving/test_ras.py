@@ -119,21 +119,27 @@ class TestAttemptPath:
 
     def test_plan_walks_do_not_grow_with_the_trace(self):
         # Guard against re-deriving the plan per attempt: the number of
-        # dataclasses.fields walks on the plan path during a run must not
-        # depend on how many requests the run serves.
+        # FaultPlans a run builds, and the odds each plan resolves, must
+        # not depend on how many requests the run serves.
         counts = []
         for duration in (1.0, 4.0):
             trace = _trace(rate_a=800.0, rate_b=200.0, duration=duration)
             server = _server(plan=TestFaultCampaign.PLAN, ras=RasConfig())
-            with mock.patch(
-                "repro.faults.plan.fields", wraps=dataclasses.fields
-            ) as walk:
+            with mock.patch.object(
+                FaultPlan, "__post_init__", autospec=True,
+                side_effect=FaultPlan.__post_init__,
+            ) as built:
                 reports = server.run(trace)
             assert sum(r.retried for r in reports.values()) > 0
-            counts.append((len(trace), walk.call_count))
-        (short, short_walks), (long, long_walks) = counts
+            counts.append(
+                (len(trace), built.call_count, dict(server.fault_plan._odds_memo))
+            )
+        (short, short_built, short_odds), (long, long_built, long_odds) = counts
         assert 900 < short and 3600 < long
-        assert short_walks == long_walks
+        assert short_built == long_built
+        # the plan resolves its odds once per batch size a run serves
+        assert short_odds.keys() <= long_odds.keys()
+        assert len(long_odds) <= max(t.max_batch for t in _tenants())
 
 
 class TestFaultCampaign:
