@@ -50,6 +50,8 @@ class InstructionBuffer:
         self.cache_mode = cache_mode
         self.prefetch_enabled = prefetch_enabled
         self._resident: OrderedDict[str, int] = OrderedDict()
+        #: sum of ``_resident``'s values, kept as kernels come and go
+        self._resident_total = 0
         self._prefetch_done_at: dict[str, float] = {}
         self.hits = 0
         self.misses = 0
@@ -60,18 +62,19 @@ class InstructionBuffer:
     def _load_time_ns(self, nbytes: int) -> float:
         return self.load_latency_ns + nbytes / self.load_bandwidth_gbps
 
-    def _resident_bytes(self) -> int:
-        return sum(self._resident.values())
-
     def _make_room(self, nbytes: int) -> None:
         budget = min(nbytes, self.capacity_bytes)
-        while self._resident and self._resident_bytes() + budget > self.capacity_bytes:
-            self._resident.popitem(last=False)  # evict LRU
+        resident = self._resident
+        while resident and self._resident_total + budget > self.capacity_bytes:
+            self._resident_total -= resident.popitem(last=False)[1]  # evict LRU
 
     def _install(self, kernel_id: str, nbytes: int) -> None:
         self._make_room(nbytes)
-        self._resident[kernel_id] = min(nbytes, self.capacity_bytes)
-        self._resident.move_to_end(kernel_id)
+        resident = self._resident
+        size = min(nbytes, self.capacity_bytes)
+        self._resident_total += size - resident.get(kernel_id, 0)
+        resident[kernel_id] = size
+        resident.move_to_end(kernel_id)
 
     # -- public API ------------------------------------------------------------
 
@@ -124,4 +127,5 @@ class InstructionBuffer:
 
     def invalidate(self) -> None:
         self._resident.clear()
+        self._resident_total = 0
         self._prefetch_done_at.clear()
