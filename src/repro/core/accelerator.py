@@ -14,6 +14,7 @@ library's public API:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.config import ChipConfig, FeatureFlags, dtu1_config, dtu2_config
@@ -45,6 +46,9 @@ class Accelerator:
     """FaultInjector driving an active campaign (see :meth:`attach_faults`)."""
     obs: "object | None" = None
     """Observability hub receiving spans/metrics (see :meth:`attach_observability`)."""
+    launch_paths: Counter = field(default_factory=Counter)
+    """Launches run on this card per executor path: ``"closed_form"``
+    (kernel steps computed directly) or ``"event"`` (per-group processes)."""
 
     def __post_init__(self) -> None:
         if self.groups:
