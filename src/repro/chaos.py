@@ -1144,22 +1144,6 @@ def _sdc_control(
     return control
 
 
-def _prewarm_compiles(device_models) -> None:
-    """Lower each (device, model) once so the compile memo is warm.
-
-    In a serial suite the first scenario pays each model's cold compile
-    and every later fleet hits :data:`repro.caching.COMPILE_CACHE`.
-    Sharded workers fork from this process, so warming the cache *here*
-    restores that sharing — compiles are content-addressed and
-    deterministic, so nothing observable changes.
-    """
-    from repro.models.zoo import build
-    from repro.runtime.runtime import Device
-
-    for device_name, model in device_models:
-        Device.open(device_name).compile(build(model), batch=1)
-
-
 def _run_scenario_task(task) -> ScenarioResult:
     """Sharded-worker body: one named scenario run (picklable result)."""
     name, seed, measured = task
@@ -1188,15 +1172,6 @@ def run_suite(
                 f"unknown chaos scenario {name!r}; "
                 f"choose from {sorted(SCENARIOS)}"
             )
-    _prewarm_compiles(
-        sorted(
-            {
-                (SCENARIOS[name].fleet.device, tenant.model)
-                for name in selected
-                for tenant in SCENARIOS[name].tenants
-            }
-        )
-    )
     if measured:
         # Warm the measurement memo once in the parent; otherwise every
         # shard re-measures the same tenant models from scratch.

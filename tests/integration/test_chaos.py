@@ -494,3 +494,23 @@ def test_default_stats_container_roundtrips():
     assert stats.availability == 1.0
     assert stats.availability_while_healthy == 1.0
     assert stats.to_dict()["tenant"] == "t"
+
+
+def test_serial_suite_opens_only_fleet_cards(monkeypatch):
+    """A serial suite opens no card beyond the replicas its fleets use."""
+    from repro.runtime.runtime import Device
+
+    open_card = Device.open.__func__
+    opened = []
+
+    def spy(cls, name="i20", obs=None, device_id=None):
+        opened.append(device_id)
+        return open_card(cls, name, obs=obs, device_id=device_id)
+
+    monkeypatch.setattr(Device, "open", classmethod(spy))
+    run_suite(names=["baseline"], workers=1)
+    device = SCENARIOS["baseline"].fleet.device
+    assert opened
+    assert all(
+        card is not None and card.startswith(f"{device}-r") for card in opened
+    ), opened

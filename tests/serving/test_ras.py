@@ -263,14 +263,14 @@ class TestCircuitBreaker:
 
     def test_fatal_storm_degrades_but_keeps_serving(self):
         # high fatal rate: breakers trip, the slice degrades, requests
-        # keep completing on the remaining groups at the degraded time.
+        # keep completing on the remaining groups at the degraded time
+        # (linear in groups, since the base time is supplied).
         plan = FaultPlan(seed=5, dma_abort_rate=0.01)
         ras = RasConfig(max_retries=1, breaker_threshold=2)
         trace = generate_trace([TrafficPattern("a", 200.0)], duration_s=1.0)
         server = InferenceServer(
             _tenants(sla_a=None),
             service_times_ns=dict(SERVICE),
-            degraded_service_times_ns={("a", 1): 1.8e6},
             fault_plan=plan,
             ras=ras,
         )

@@ -113,7 +113,8 @@ def test_serial_stats_single_shard():
 # ---------------------------------------------------------------------------
 
 
-def test_chaos_suite_sharded_equals_serial():
+def _sharded_matches_serial(cold: bool) -> None:
+    from repro.caching import reset_global_caches
     from repro.chaos import run_suite
 
     names = ["baseline", "transient-storm"]
@@ -121,5 +122,17 @@ def test_chaos_suite_sharded_equals_serial():
     # forks: every shard must see the service times a serial run sees.
     for measured in (False, True):
         serial = run_suite(names=names, seed=7, measured=measured, workers=1)
+        if cold:
+            reset_global_caches()
         sharded = run_suite(names=names, seed=7, measured=measured, workers=2)
         assert serial.to_json() == sharded.to_json()
+
+
+def test_chaos_suite_sharded_equals_serial():
+    _sharded_matches_serial(cold=False)
+
+
+def test_chaos_suite_sharded_from_cold_caches_equals_serial():
+    # Empty caches before the sharded run: each worker (or, measured,
+    # the parent) pays its own cold compile.
+    _sharded_matches_serial(cold=True)
