@@ -30,6 +30,13 @@ cells hold the report and the metrics snapshot but no trace events: the
 fleet itself emits no spans, and the probe launches behind them are the
 ones the kill cells already pin.
 
+One more cell, ``unknown-class/scaling``, replays that trace under
+admission (a tighter ``standard`` class and a deeper ``batch`` queue) and
+the autoscaler, with a fourth flash-crowd stream whose SLO class
+(``bulk``) the policy does not name: such arrivals take ``standard``'s
+queue limit and deadline, count their depth under their own class name
+and stay out of backpressure.
+
 Rewrite the file with ``PYTHONPATH=src python tools/fleet_golden.py``
 (``-o PATH`` writes elsewhere); ``tests/serving/test_fleet_golden.py``
 holds the fleet to it.
@@ -95,9 +102,16 @@ def _fleet(bringup: str, faults: str, obs):
     )
 
 
-def _feature_trace():
+def _feature_trace(unknown_class: bool = False):
     from repro.serving.loadgen import LoadSpec, generate_load
 
+    bulk = [
+        LoadSpec(
+            tenant="a", rate_per_s=1500.0, slo_class="bulk",
+            shape="flash-crowd", users=100, flash_at_s=0.15,
+            flash_duration_s=0.1, flash_multiplier=4.0, flash_ramp_s=0.02,
+        ),
+    ]
     return generate_load(
         [
             LoadSpec(
@@ -114,13 +128,19 @@ def _feature_trace():
                 tenant="a", rate_per_s=600.0, slo_class="batch",
                 shape="poisson", users=50, session_mean_requests=8.0,
             ),
-        ],
+        ] + (bulk if unknown_class else []),
         duration_s=0.4,
         seed=7,
     )
 
 
-def _feature_fleet(features: tuple[str, ...], obs):
+def _feature_fleet(
+    features: tuple[str, ...],
+    obs,
+    standard: tuple[float, int] = (120.0, 48),
+    batch_limit: int = 48,
+):
+    """``standard`` is that class's (deadline_ms, queue_limit)."""
     from repro.faults import FaultPlan, FaultSchedule, StormPhase
     from repro.serving.admission import AdmissionPolicy, SloClass
     from repro.serving.autoscale import AutoscalerConfig
@@ -139,11 +159,11 @@ def _feature_fleet(features: tuple[str, ...], obs):
                     shed_priority=0,
                 ),
                 SloClass(
-                    "standard", deadline_ms=120.0, queue_limit=48,
-                    shed_priority=1,
+                    "standard", deadline_ms=standard[0],
+                    queue_limit=standard[1], shed_priority=1,
                 ),
                 SloClass(
-                    "batch", deadline_ms=None, queue_limit=48,
+                    "batch", deadline_ms=None, queue_limit=batch_limit,
                     shed_priority=2,
                 ),
             ),
@@ -220,7 +240,8 @@ def feature_key(features: tuple[str, ...]) -> str:
 
 
 def cells() -> dict[str, dict]:
-    """``"bringup/faults/obs"`` and ``"features/<subset>"`` ->
+    """``"bringup/faults/obs"``, ``"features/<subset>"`` and
+    ``"unknown-class/scaling"`` ->
     ``{"report": ..., ["metrics", "trace_events"]}``."""
     from repro.obs import Observability
 
@@ -243,6 +264,11 @@ def cells() -> dict[str, dict]:
         out[feature_key(features)] = _run(
             _feature_fleet(features, obs), trace, obs, trace_events=False
         )
+    obs = Observability()
+    out["unknown-class/scaling"] = _run(
+        _feature_fleet(("scaling",), obs, standard=(10.0, 24), batch_limit=200),
+        _feature_trace(unknown_class=True), obs, trace_events=False,
+    )
     return out
 
 

@@ -9,6 +9,13 @@ whole request loop:
 - continuous batching: ``coalesce_window_ms`` 0 or 0.5 (``max_batch`` > 1);
 - faults: none, or a RAS ``FaultPlan`` with a per-request deadline.
 
+Two more cells, ``unknown-class/<deployment>``, run the policy (with a
+tighter ``standard`` deadline and a deeper ``batch`` queue) and
+continuous batching over that trace plus a bursty vision stream whose
+SLO class (``bulk``) the policy does not name: such arrivals take
+``standard``'s queue limit and deadline, count their depth under their
+own class name and stay out of backpressure.
+
 Traffic is one seeded two-tenant trace with mixed SLO classes, heavy
 enough to shed, brown out, retry and trip breakers, closed by a flood
 on the first tenant. Service times are
@@ -65,7 +72,35 @@ def _trace():
     )
 
 
-def _server(deployment: str, admission: str, coalesce: str, faults: str):
+def _unknown_class_trace():
+    from repro.serving.workload import Request, TrafficPattern, generate_trace
+
+    bulk = [
+        Request(
+            30_000 + request.request_id, request.tenant, request.arrival_ns,
+            slo_class=request.slo_class,
+        )
+        for request in generate_trace(
+            [TrafficPattern("vision", 600.0, burstiness=3.0,
+                            slo_class="bulk")],
+            duration_s=0.3,
+            seed=17,
+        )
+    ]
+    return sorted(
+        _trace() + bulk,
+        key=lambda request: (request.arrival_ns, request.request_id),
+    )
+
+
+def _server(
+    deployment: str,
+    admission: str,
+    coalesce: str,
+    faults: str,
+    standard_deadline_ms: float = 60.0,
+    batch_limit: int = 24,
+):
     from repro.faults.plan import FaultPlan
     from repro.serving.admission import AdmissionPolicy, SloClass
     from repro.serving.server import InferenceServer, RasConfig, TenantConfig
@@ -83,9 +118,9 @@ def _server(deployment: str, admission: str, coalesce: str, faults: str):
             classes=(
                 SloClass("interactive", deadline_ms=15.0, queue_limit=12,
                          shed_priority=0),
-                SloClass("standard", deadline_ms=60.0, queue_limit=16,
-                         shed_priority=1),
-                SloClass("batch", deadline_ms=None, queue_limit=24,
+                SloClass("standard", deadline_ms=standard_deadline_ms,
+                         queue_limit=16, shed_priority=1),
+                SloClass("batch", deadline_ms=None, queue_limit=batch_limit,
                          shed_priority=2),
             ),
         )
@@ -109,15 +144,26 @@ def _server(deployment: str, admission: str, coalesce: str, faults: str):
 
 
 def cells() -> dict[str, dict[str, dict]]:
-    """``"deployment/admission/coalesce/faults" -> tenant -> report``."""
+    """``"deployment/admission/coalesce/faults"`` and
+    ``"unknown-class/deployment"`` -> tenant -> report."""
     trace = _trace()
     out: dict[str, dict[str, dict]] = {}
     for axes in itertools.product(DEPLOYMENTS, ADMISSIONS, COALESCE, FAULTS):
-        reports = _server(*axes).run(trace)
-        out["/".join(axes)] = {
-            name: asdict(report) for name, report in reports.items()
-        }
+        out["/".join(axes)] = _reports(_server(*axes), trace)
+    trace = _unknown_class_trace()
+    for deployment in DEPLOYMENTS:
+        out[f"unknown-class/{deployment}"] = _reports(
+            _server(deployment, "policy", "window-0.5", "clean",
+                    standard_deadline_ms=25.0, batch_limit=96),
+            trace,
+        )
     return out
+
+
+def _reports(server, trace) -> dict[str, dict]:
+    return {
+        name: asdict(report) for name, report in server.run(trace).items()
+    }
 
 
 def render() -> str:
