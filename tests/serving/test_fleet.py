@@ -383,6 +383,25 @@ class TestTraceValidation:
         with pytest.raises(ReproRuntimeError, match="unknown tenant"):
             fleet.run(trace)
 
+    @pytest.mark.parametrize(
+        "bad, at",
+        # +inf last: nothing after it can fail the arrival-order check.
+        [(math.nan, 3), (math.inf, 5), (-math.inf, 3)],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_arrival_rejected(self, bad, at):
+        fleet = _fleet()
+        trace = [
+            Request(request_id=i, tenant="a", arrival_ns=i * 1e5)
+            for i in range(6)
+        ]
+        trace[at] = Request(request_id=at, tenant="a", arrival_ns=bad)
+        with pytest.raises(
+            ReproRuntimeError,
+            match=rf"request {at}: arrival_ns must be finite",
+        ):
+            fleet.run(trace)
+
 
 class TestFleetObservability:
     def test_registry_mirrors_the_report(self):

@@ -1,10 +1,14 @@
 """Tests for the cloud-serving simulation (workload, queueing, isolation)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import ReproRuntimeError
 from repro.serving import (
     InferenceServer,
+    RasConfig,
     Request,
     TenantConfig,
     TrafficPattern,
@@ -218,6 +222,42 @@ class TestIsolation:
     def test_empty_tenant_list_rejected(self):
         with pytest.raises(ValueError):
             InferenceServer([])
+
+
+class TestNonFiniteArrivals:
+    """A NaN or infinite arrival fails typed, naming the request, whether
+    the request was served or shed at the door."""
+
+    @staticmethod
+    def _trace(bad, at):
+        trace = [Request(i, "a", i * 1e5) for i in range(6)]
+        trace[at] = Request(at, "a", bad)
+        return trace
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("isolated", [True, False])
+    def test_rejected(self, bad, isolated):
+        with pytest.raises(
+            ReproRuntimeError, match=r"request 3: arrival_ns must be finite"
+        ):
+            _server(isolated=isolated).run(self._trace(bad, 3))
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, -math.inf], ids=["nan", "-inf"]
+    )
+    def test_rejected_when_shed(self, bad):
+        # Neither value prunes the queue: a one-deep queue still holding
+        # request 0 sheds request 3, which is never served.
+        server = InferenceServer(
+            _tenants(), service_times_ns=dict(SERVICE),
+            ras=RasConfig(queue_depth_limit=1),
+        )
+        with pytest.raises(
+            ReproRuntimeError, match=r"request 3: arrival_ns must be finite"
+        ):
+            server.run(self._trace(bad, 3))
 
 
 @settings(max_examples=20, deadline=None)
