@@ -34,7 +34,6 @@ from repro.serving.powercap import (
     PowerCapPhase,
 )
 from repro.serving.server import (
-    CompletedRequest,
     InferenceServer,
     NoHealthyGroupsError,
     RasConfig,
@@ -49,7 +48,7 @@ from repro.serving.workload import Request, TrafficPattern, generate_trace
 
 __all__ = [
     "AdmissionController", "AdmissionDecision", "AdmissionPolicy",
-    "Autoscaler", "AutoscalerConfig", "CompletedRequest",
+    "Autoscaler", "AutoscalerConfig",
     "DEFAULT_SLO_CLASSES", "DeviceReport", "FleetConfig", "FleetManager",
     "FleetPowerGovernor", "FleetReport", "FleetTenantStats",
     "InferenceServer", "LifecycleEvent",

@@ -38,9 +38,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
-
-import numpy as np
 
 from repro.core.errors import ReproRuntimeError, reject_non_finite
 from repro.faults.errors import HardwareFault
@@ -60,7 +57,7 @@ from repro.serving.server import (
     measure_service_time_ns,
     tail_percentiles,
 )
-from repro.serving.workload import Request
+from repro.serving.workload import Request, validate_trace
 
 __all__ = [
     "DeviceReport",
@@ -521,7 +518,11 @@ class FleetManager:
         produce an identical report (every RNG stream is re-derived from
         the fleet seed on entry, and fleet state is reset to bring-up
         roles — re-running the same manager reproduces the same report).
+        A trace that breaks the request contract
+        (:func:`~repro.serving.workload.validate_trace`) raises before any
+        state moves.
         """
+        validate_trace(trace, self.tenants)
         self._reset()
         cfg = self.config
         router = self._router
@@ -559,7 +560,6 @@ class FleetManager:
         # fleet is one shared pool). Maintained only when something reads
         # them, and pruned as depth queries move forward in time.
         backlog = Backlog(self.tenants, self.ras, ctl)
-        queue_full = self.ras.queue_full
         deadline_status = self.ras.deadline_status
         service_times = self.service_times_ns
         # Continuous batching applies to tenants with a coalescing window
@@ -570,10 +570,8 @@ class FleetManager:
         }
         counters = _RunCounters(min_healthy=router.active_count())
         horizon = 0.0
-        # One vectorized pass validates the whole trace (same first error
-        # the per-request checks raised) and precomputes the per-(tenant,
-        # class) chain the coalescer walks instead of rescanning forward.
-        self._validate_trace(trace)
+        # The per-(tenant, class) chain the coalescer walks instead of
+        # rescanning forward.
         self._group_next = self._group_chains(trace, coalescing)
         joined = [False] * len(trace)
         # Governor windows, autoscaler ticks and SDC screen ticks, each a
@@ -643,7 +641,7 @@ class FleetManager:
                         tenant_stats, book, request, decision.reason
                     )
                     continue
-            elif queue_full(backlog.tenants[request.tenant], arrival):
+            elif backlog.full(request.tenant, arrival):
                 self._note_shed(tenant_stats, book, request, "queue-full")
                 continue
             members = (
@@ -703,54 +701,6 @@ class FleetManager:
         if self.obs is not None:
             self._export_obs(report)
         return report
-
-    def _validate_trace(self, trace: list[Request]) -> None:
-        """Whole-trace validation in one vectorized pass.
-
-        Raises at the first offending request: a non-finite
-        ``arrival_ns``, an arrival before its predecessor, or an unknown
-        tenant, checked in that order at one index (the order checks
-        ran first historically).
-        """
-        n = len(trace)
-        if not n:
-            return
-        arrivals = np.fromiter(
-            map(attrgetter("arrival_ns"), trace), dtype=np.float64, count=n
-        )
-        previous = np.empty(n)
-        previous[0] = 0.0
-        previous[1:] = arrivals[:-1]
-        bad = np.flatnonzero(~np.isfinite(arrivals))
-        bad_finite = int(bad[0]) if bad.size else n
-        drops = np.flatnonzero(arrivals < previous)
-        bad_arrival = int(drops[0]) if drops.size else n
-        known = self.tenants
-        bad_tenant = n
-        if not known.keys() >= set(map(attrgetter("tenant"), trace)):
-            for index in range(min(bad_finite, bad_arrival, n - 1) + 1):
-                if trace[index].tenant not in known:
-                    bad_tenant = index
-                    break
-        first = min(bad_finite, bad_arrival, bad_tenant)
-        if first >= n:
-            return
-        request = trace[first]
-        if first == bad_finite:
-            raise ReproRuntimeError(
-                f"request {request.request_id}: arrival_ns must be finite, "
-                f"got {request.arrival_ns}"
-            )
-        if first == bad_arrival:
-            raise ReproRuntimeError(
-                f"trace arrivals must be non-decreasing: request "
-                f"{request.request_id} at {request.arrival_ns} after "
-                f"{float(previous[bad_arrival])}"
-            )
-        raise ReproRuntimeError(
-            f"request {request.request_id}: unknown tenant "
-            f"{request.tenant!r}"
-        )
 
     @staticmethod
     def _group_chains(trace: list[Request], coalescing: set[str]) -> list[int]:

@@ -51,12 +51,14 @@ Every mutation of a replica's ``status``/``free_at``/``repair_due_ns``
 must be followed by :meth:`FleetRouter.update`; stale heap entries are
 recognized by a per-replica version counter and dropped on pop.
 
-:class:`PrunedFinishes` replaces the unbounded sorted ``finishes`` lists
-the depth-based admission layers probed with ``bisect_right``: finish
-times whose ``finish <= now`` can never affect a later depth query once
-query times are non-decreasing (arrival order — which both serving
-layers require), so they are dropped eagerly and memory stays bounded
-by the in-flight depth instead of the trace length.
+:class:`Backlog` is the serving layers' one queue-depth ledger: heaps
+of admitted finish times, per tenant for the flat
+``ras.queue_depth_limit`` door and per SLO class for the admission
+controller. A depth query at ``now`` counts the finishes strictly after
+``now``. Both serving layers query at trace arrivals, which
+:func:`~repro.serving.workload.validate_trace` holds non-decreasing, so a
+finish at or before ``now`` can never count again and is popped: memory
+stays bounded by the in-flight depth instead of the trace length.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ __all__ = [
     "Backlog",
     "FleetRouter",
     "HeapRouter",
-    "PrunedFinishes",
     "ReferenceRouter",
     "ReplicaStatus",
 ]
@@ -406,62 +407,34 @@ class HeapRouter(FleetRouter):
         return None
 
 
-class PrunedFinishes:
-    """Finish-time multiset answering bounded depth queries.
-
-    Replaces the sorted ``finishes`` list + ``bisect_right`` pattern:
-    ``depth(now)`` is the number of recorded finish times strictly after
-    ``now``.  Query times must be non-decreasing (the serving layers
-    query at trace arrivals, which are validated/assumed time-ordered);
-    under that contract entries with ``finish <= now`` can never affect
-    a later query and are dropped, so the structure holds only the
-    in-flight tail instead of the whole trace history.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[float] = []
-
-    def push(self, finish: float) -> None:
-        heappush(self._heap, finish)
-
-    def depth(self, now: float) -> int:
-        heap = self._heap
-        while heap and heap[0] <= now:
-            heappop(heap)
-        return len(heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 class Backlog:
     """Finish times of admitted requests, per tenant and per SLO class.
 
-    Tenant depths feed the flat ``ras.queue_depth_limit`` check and
-    class depths the admission controller; each side is recorded only
-    when its reader exists. An attached controller (``admission``)
-    replaces the flat check, so at most one side is ever recorded.
-    ``classes`` maps each class seen so far to a heap of finish times,
-    pruned by :meth:`classes_at`.
+    Tenant heaps feed the flat ``ras.queue_depth_limit`` door
+    (:meth:`full`) and class heaps the admission controller
+    (:meth:`classes_at`); each side is recorded only when its reader
+    exists. An attached controller (``admission``) replaces the flat
+    door, so at most one side is ever recorded. Both readers drop every
+    finish at or before their query time, which must be non-decreasing
+    (module docstring).
     """
 
-    __slots__ = ("tenants", "classes", "_flat", "_by_class")
+    __slots__ = ("tenants", "classes", "_limit", "_by_class")
 
     def __init__(self, tenants, ras, admission) -> None:
-        self.tenants = {name: PrunedFinishes() for name in tenants}
+        self.tenants: dict[str, list[float]] = {name: [] for name in tenants}
         self.classes: dict[str, list[float]] = {}
+        # The flat limit, or None when there is no flat door.
+        self._limit = ras.queue_depth_limit if admission is None else None
         self._by_class = admission is not None
-        self._flat = admission is None and ras.queue_depth_limit is not None
 
     def push(self, batch, finish: float) -> None:
         """Record one served batch finishing at ``finish``. Both serving
         layers batch only same-(tenant, class) requests, so the head's
         tenant and class stand for every member."""
         head = batch[0]
-        if self._flat:
-            heap = self.tenants[head.tenant]._heap
+        if self._limit is not None:
+            heap = self.tenants[head.tenant]
         elif self._by_class:
             heap = self.classes.get(head.slo_class)
             if heap is None:
@@ -471,11 +444,22 @@ class Backlog:
         for _ in batch:
             heappush(heap, finish)
 
+    def full(self, tenant: str, now: float) -> bool:
+        """Flat admission: is ``tenant``'s queued-or-in-flight depth at
+        ``now`` at ``ras.queue_depth_limit``? Always False without a flat
+        limit, or when an admission controller replaces it."""
+        limit = self._limit
+        if limit is None:
+            return False
+        heap = self.tenants[tenant]
+        while heap and heap[0] <= now:
+            heappop(heap)
+        return len(heap) >= limit
+
     def classes_at(self, now: float) -> dict[str, list[float]]:
         """``classes`` with every finish at or before ``now`` dropped, so
         an entry's length is its class's queued-or-in-flight depth at
-        ``now``. Query times must be non-decreasing, as for
-        :class:`PrunedFinishes`."""
+        ``now``."""
         for heap in self.classes.values():
             while heap and heap[0] <= now:
                 heappop(heap)

@@ -49,7 +49,6 @@ server.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -63,8 +62,8 @@ from repro.models.zoo import build
 from repro.perfmodel.calibration import calibration
 from repro.runtime.runtime import Device
 from repro.seeding import derive_rng
-from repro.serving.routing import Backlog, PrunedFinishes
-from repro.serving.workload import Request
+from repro.serving.routing import Backlog
+from repro.serving.workload import Request, validate_trace
 
 
 @dataclass(frozen=True)
@@ -164,15 +163,6 @@ class RasConfig:
             return "failed"
         return status
 
-    def queue_full(self, finishes: PrunedFinishes, now: float) -> bool:
-        """Flat admission: is the tenant's queue at ``queue_depth_limit``?
-
-        ``finishes`` holds the finish times of the tenant's scheduled
-        requests; entries still beyond ``now`` are queued or in service.
-        """
-        limit = self.queue_depth_limit
-        return limit is not None and finishes.depth(now) >= limit
-
 
 class TenantHealth:
     """Per-group failure tracking + circuit breaker for one tenant slice."""
@@ -204,40 +194,15 @@ class TenantHealth:
         return False
 
 
-@dataclass
-class CompletedRequest:
-    """Outcome of one request."""
-
-    request: Request
-    start_ns: float
-    finish_ns: float
-    batch_size: int
-    status: str = "ok"
-    """'ok' or 'failed' (fatal fault / retries exhausted)."""
-    retries: int = 0
-    """Service replays this request's batch needed."""
-    degraded: bool = False
-    """Served on a circuit-breaker-degraded group slice."""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def latency_ms(self) -> float:
-        return (self.finish_ns - self.request.arrival_ns) / 1e6
-
-    @property
-    def queue_ms(self) -> float:
-        return (self.start_ns - self.request.arrival_ns) / 1e6
-
-
 class Completions:
     """Completed requests as parallel columns, in completion order.
 
     A served batch appends each column once, so replaying a trace builds
     no object per request and leaves the cyclic garbage collector nothing
-    new to track. Iterating yields :class:`CompletedRequest` rows.
+    new to track. ``status`` is ``"ok"`` or ``"failed"`` (fatal fault,
+    retries exhausted or deadline missed); ``retries`` counts the batch's
+    service replays; ``degraded`` marks a batch served on a
+    circuit-breaker-degraded slice.
     """
 
     __slots__ = (
@@ -279,12 +244,6 @@ class Completions:
 
     def __len__(self) -> int:
         return len(self.requests)
-
-    def __iter__(self) -> Iterator[CompletedRequest]:
-        return map(
-            CompletedRequest, self.requests, self.start_ns, self.finish_ns,
-            self.batch_size, self.status, self.retries, self.degraded,
-        )
 
 
 @dataclass
@@ -690,8 +649,11 @@ class InferenceServer:
 
         Deterministic: the same trace, fault plan and RAS config always
         produce identical reports (per-run RNGs are re-seeded from the
-        plan seed on every call).
+        plan seed on every call). A trace that breaks the request contract
+        (:func:`~repro.serving.workload.validate_trace`) raises before
+        anything is served.
         """
+        validate_trace(trace, self.tenants)
         ctl = self._admission_ctl
         if self.isolated:
             by_tenant = _by_tenant(trace, self.tenants, attrgetter("tenant"))
@@ -767,44 +729,49 @@ class InferenceServer:
             unit="ms", buckets=DEFAULT_BUCKETS_MS,
         )
         classes_in_play = self._admission_ctl is not None
-        for request in sorted(completed, key=lambda c: c.request.request_id):
-            tenant = request.request.tenant
+        rows = sorted(
+            zip(
+                completed.requests, completed.start_ns, completed.finish_ns,
+                completed.batch_size, completed.status, completed.retries,
+                completed.degraded,
+            ),
+            key=lambda row: row[0].request_id,
+        )
+        for request, start_ns, finish_ns, batch, status, retries, degraded in rows:
+            tenant = request.tenant
+            arrival_ns = request.arrival_ns
             root = tracer.begin(
-                f"request:{request.request.request_id}", layer="serving",
-                start_ns=request.request.arrival_ns,
-                track=f"tenant.{tenant}", tenant=tenant,
+                f"request:{request.request_id}", layer="serving",
+                start_ns=arrival_ns, track=f"tenant.{tenant}", tenant=tenant,
             )
-            if request.start_ns > request.request.arrival_ns:
+            if start_ns > arrival_ns:
                 tracer.add_span(
                     "queue", layer="serving",
-                    start_ns=request.request.arrival_ns,
-                    end_ns=request.start_ns,
+                    start_ns=arrival_ns, end_ns=start_ns,
                     parent=root.context, track=f"tenant.{tenant}",
                 )
             tracer.add_span(
                 "service", layer="serving",
-                start_ns=request.start_ns, end_ns=request.finish_ns,
+                start_ns=start_ns, end_ns=finish_ns,
                 parent=root.context, track=f"tenant.{tenant}",
-                batch=request.batch_size, retries=request.retries,
-                status=request.status, degraded=request.degraded,
+                batch=batch, retries=retries,
+                status=status, degraded=degraded,
             )
-            root.end(
-                request.finish_ns,
-                status=request.status, batch=request.batch_size,
-            )
-            requests_total.inc(tenant=tenant, status=request.status)
-            if request.ok:
-                latency_hist.observe(request.latency_ms, tenant=tenant)
-                queue_hist.observe(request.queue_ms, tenant=tenant)
-                batch_hist.observe(request.batch_size, tenant=tenant)
+            root.end(finish_ns, status=status, batch=batch)
+            requests_total.inc(tenant=tenant, status=status)
+            if status == "ok":
+                latency_ms = (finish_ns - arrival_ns) / 1e6
+                latency_hist.observe(latency_ms, tenant=tenant)
+                queue_hist.observe((start_ns - arrival_ns) / 1e6, tenant=tenant)
+                batch_hist.observe(batch, tenant=tenant)
                 if classes_in_play:
                     class_latency.observe(
-                        request.latency_ms, tenant=tenant,
-                        slo_class=request.request.slo_class,
+                        latency_ms, tenant=tenant,
+                        slo_class=request.slo_class,
                     )
-            if request.retries:
-                retries_total.inc(request.retries, tenant=tenant)
-            if request.degraded:
+            if retries:
+                retries_total.inc(retries, tenant=tenant)
+            if degraded:
                 degraded_total.inc(tenant=tenant)
         for request, reason in shed:
             tracer.add_event(
@@ -915,9 +882,8 @@ class InferenceServer:
         # Bounded depth tracking: maintained only for the admission path
         # that actually reads it, pruned as arrivals move forward.
         backlog = Backlog(self.tenants, self.ras, ctl)
-        push, tenant_finishes = backlog.push, backlog.tenants
+        push, full = backlog.push, backlog.full
         deadline_status = self.ras.deadline_status
-        queue_full = self.ras.queue_full
         completed = Completions()
         shed: list[tuple[Request, str]] = []
         served = [False] * len(trace)
@@ -938,7 +904,7 @@ class InferenceServer:
                 if not decision.admitted:
                     shed.append((head, decision.reason))
                     continue
-            elif queue_full(tenant_finishes[head.tenant], now):
+            elif full(head.tenant, now):
                 shed.append((head, "queue-full"))
                 continue
             start = max(now, free_at)
@@ -975,20 +941,6 @@ class InferenceServer:
             horizon_ns = max((r.arrival_ns for r in trace), default=0.0) or 1.0
         requests = completed.requests
         arrival_ns = np.asarray([r.arrival_ns for r in requests], dtype=float)
-        # Every request either completed or was shed: their arrival
-        # columns together cover the trace.
-        if not (
-            np.isfinite(arrival_ns).all()
-            and np.isfinite([request.arrival_ns for request, _ in shed]).all()
-        ):
-            request = next(
-                request for request in trace
-                if not np.isfinite(request.arrival_ns)
-            )
-            raise ReproRuntimeError(
-                f"request {request.request_id}: arrival_ns must be finite, "
-                f"got {request.arrival_ns}"
-            )
         finish_ns = np.asarray(completed.finish_ns, dtype=float)
         latency_ms = (finish_ns - arrival_ns) / 1e6
         ok = np.asarray([s == "ok" for s in completed.status], dtype=bool)
@@ -1048,11 +1000,10 @@ class InferenceServer:
 def _by_tenant(items, names, tenant_of) -> dict[str, list]:
     """``items`` split per tenant name in one pass, keeping their order.
 
-    Items of a tenant not in ``names`` are dropped.
+    Every item's tenant is in ``names`` (``validate_trace`` holds the
+    trace to it).
     """
     groups: dict[str, list] = {name: [] for name in names}
     for item in items:
-        mine = groups.get(tenant_of(item))
-        if mine is not None:
-            mine.append(item)
+        groups[tenant_of(item)].append(item)
     return groups

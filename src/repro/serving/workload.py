@@ -11,10 +11,11 @@ ship (see DESIGN.md substitutions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from repro.core.errors import reject_non_finite
+from repro.core.errors import ReproRuntimeError, reject_non_finite
 
 
 @dataclass(frozen=True)
@@ -95,3 +96,51 @@ def generate_trace(
             request_id += 1
     requests.sort(key=lambda request: (request.arrival_ns, request.request_id))
     return requests
+
+
+def validate_trace(trace: list[Request], tenants) -> None:
+    """The request contract both serving engines hold a trace to.
+
+    Raises :class:`~repro.core.errors.ReproRuntimeError` at the first
+    offending request: a non-finite ``arrival_ns``, an arrival before its
+    predecessor (the first before 0), or a tenant not in ``tenants``,
+    checked in that order at one index. One vectorized pass.
+    """
+    n = len(trace)
+    if not n:
+        return
+    arrivals = np.fromiter(
+        map(attrgetter("arrival_ns"), trace), dtype=np.float64, count=n
+    )
+    previous = np.empty(n)
+    previous[0] = 0.0
+    previous[1:] = arrivals[:-1]
+    bad = np.flatnonzero(~np.isfinite(arrivals))
+    bad_finite = int(bad[0]) if bad.size else n
+    drops = np.flatnonzero(arrivals < previous)
+    bad_arrival = int(drops[0]) if drops.size else n
+    bad_tenant = n
+    if not tenants.keys() >= set(map(attrgetter("tenant"), trace)):
+        for index in range(min(bad_finite, bad_arrival, n - 1) + 1):
+            if trace[index].tenant not in tenants:
+                bad_tenant = index
+                break
+    first = min(bad_finite, bad_arrival, bad_tenant)
+    if first >= n:
+        return
+    request = trace[first]
+    if first == bad_finite:
+        raise ReproRuntimeError(
+            f"request {request.request_id}: arrival_ns must be finite, "
+            f"got {request.arrival_ns}"
+        )
+    if first == bad_arrival:
+        raise ReproRuntimeError(
+            f"trace arrivals must be non-decreasing: request "
+            f"{request.request_id} at {request.arrival_ns} after "
+            f"{float(previous[bad_arrival])}"
+        )
+    raise ReproRuntimeError(
+        f"request {request.request_id}: unknown tenant "
+        f"{request.tenant!r}"
+    )

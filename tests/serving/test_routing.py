@@ -19,8 +19,8 @@ similar routing quality. Three layers of evidence:
   ``FleetReport`` with per-class ``SloClassStats``, overload, cap and
   SDC-control sweeps — as JSON.
 
-``PrunedFinishes`` is checked against the unbounded sorted-list +
-``bisect_right`` depth semantics it replaced.
+``Backlog.full`` is checked against the unbounded sorted-list +
+``bisect_right`` depth semantics its pruned heaps replaced.
 """
 
 import itertools
@@ -37,7 +37,6 @@ from repro.serving.routing import (
     Backlog,
     FleetRouter,
     HeapRouter,
-    PrunedFinishes,
     ReferenceRouter,
     ReplicaStatus,
 )
@@ -319,32 +318,46 @@ def test_routable_count_discounts_parked_active_replicas():
         assert router.routable_count() == 0
 
 
-def test_pruned_finishes_matches_bisect_reference():
+def _flat_backlog(limit: int) -> Backlog:
+    return Backlog(["a"], RasConfig(queue_depth_limit=limit), None)
+
+
+def test_backlog_full_matches_bisect_reference():
     rng = random.Random(99)
-    pruned = PrunedFinishes()
+    request = Request(0, "a", 0.0)
+    limits = (1, 2, 5, 8)
+    backlogs = [_flat_backlog(limit) for limit in limits]
     unbounded: list[float] = []
     now = 0.0
     for _ in range(3000):
         now += rng.random() * 1e5
         for _ in range(rng.randrange(3)):
             finish = now + rng.random() * 5e5
-            pruned.push(finish)
-            insort(unbounded, finish)
+            count = rng.randrange(1, 4)
+            for backlog in backlogs:
+                backlog.push([request] * count, finish)
+            for _ in range(count):
+                insort(unbounded, finish)
         # historical depth semantics: finishes strictly after `now`
         want = len(unbounded) - bisect_right(unbounded, now)
-        assert pruned.depth(now) == want
-    # pruning actually bounds memory: entries <= now are gone
-    assert len(pruned) == len(unbounded) - bisect_right(unbounded, now)
+        for limit, backlog in zip(limits, backlogs):
+            assert backlog.full("a", now) == (want >= limit)
+            # pruning bounds memory: entries <= now are gone
+            assert len(backlog.tenants["a"]) == want
 
 
-def test_pruned_finishes_boundary_is_exclusive():
-    pruned = PrunedFinishes()
-    pruned.push(10.0)
-    pruned.push(20.0)
+def test_backlog_full_boundary_is_exclusive():
+    request = Request(0, "a", 0.0)
+    one, two = _flat_backlog(1), _flat_backlog(2)
+    for backlog in (one, two):
+        backlog.push([request], 10.0)
+        backlog.push([request], 20.0)
+    assert two.full("a", 9.0)
     # a finish exactly at `now` no longer occupies the queue
-    assert pruned.depth(10.0) == 1
-    assert pruned.depth(20.0) == 0
-    assert len(pruned) == 0
+    assert not two.full("a", 10.0)
+    assert one.full("a", 10.0)
+    assert not one.full("a", 20.0)
+    assert one.tenants["a"] == []
 
 
 def test_backlog_books_a_batch_under_its_head_class():
@@ -357,13 +370,24 @@ def test_backlog_books_a_batch_under_its_head_class():
     assert len(backlog.classes_at(55.0)["vision"]) == 1
     assert len(backlog.classes_at(60.0)["vision"]) == 0
     assert not backlog.tenants["a"]  # admission replaces the flat check
+    assert not backlog.full("a", 0.0)
 
 
 def test_backlog_books_tenant_depth_for_the_flat_check():
-    backlog = Backlog(["a"], RasConfig(queue_depth_limit=4), None)
+    backlog = _flat_backlog(4)
     backlog.push([Request(0, "a", 0.0)] * 3, 50.0)
-    assert backlog.tenants["a"].depth(40.0) == 3
+    assert not backlog.full("a", 40.0)
+    backlog.push([Request(1, "a", 0.0)], 60.0)
+    assert backlog.full("a", 40.0)
+    assert not backlog.full("a", 50.0)
     assert not backlog.classes
+
+
+def test_backlog_without_a_flat_limit_is_never_full():
+    backlog = Backlog(["a"], RasConfig(), None)
+    backlog.push([Request(0, "a", 0.0)] * 3, 50.0)
+    assert not backlog.full("a", 40.0)
+    assert not backlog.tenants["a"] and not backlog.classes
 
 
 # ---------------------------------------------------------------------------

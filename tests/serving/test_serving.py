@@ -146,7 +146,7 @@ class TestSharedQueueBatching:
         trace = generate_trace([TrafficPattern("a", 3000.0)], duration_s=0.5)
         server = _server(isolated=False, max_batch_a=4)
         completed, _ = server._run_queue(trace, "shared")
-        assert max(record.batch_size for record in completed) <= 4
+        assert max(completed.batch_size) <= 4
         assert len(completed) == len(trace)
 
     def test_shared_batching_never_reorders_other_tenants(self):
@@ -260,6 +260,35 @@ class TestNonFiniteArrivals:
             server.run(self._trace(bad, 3))
 
 
+class TestRequestContract:
+    """Both deployments hold a trace to ``validate_trace``, as the fleet
+    does: a malformed trace raises before any request is served."""
+
+    deployments = pytest.mark.parametrize(
+        "isolated", [True, False], ids=["isolated", "shared"]
+    )
+
+    @deployments
+    def test_unknown_tenant_rejected(self, isolated):
+        trace = [
+            Request(0, "a", 0.0), Request(1, "zz", 1e5), Request(2, "a", 2e5),
+        ]
+        with pytest.raises(
+            ReproRuntimeError, match=r"request 1: unknown tenant 'zz'"
+        ):
+            _server(isolated=isolated).run(trace)
+
+    @deployments
+    @pytest.mark.parametrize(
+        "arrivals", [(0.0, 2e5, 1e5), (-1e5, 0.0, 1e5)],
+        ids=["out-of-order", "negative-first"],
+    )
+    def test_arrivals_must_be_non_decreasing(self, isolated, arrivals):
+        trace = [Request(i, "a", at) for i, at in enumerate(arrivals)]
+        with pytest.raises(ReproRuntimeError, match="non-decreasing"):
+            _server(isolated=isolated).run(trace)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     rate=st.floats(min_value=10.0, max_value=1500.0),
@@ -279,11 +308,14 @@ def test_property_queueing_invariants(rate, seed, max_batch):
     completed, shed = server._run_queue(trace, "a")
     assert not shed  # no admission limit configured
     assert len(completed) == len(trace)
-    last_finish = 0.0
     seen_starts = []
-    for record in sorted(completed, key=lambda c: (c.start_ns, c.request.request_id)):
-        assert record.start_ns >= record.request.arrival_ns - 1e-9
-        assert record.finish_ns > record.start_ns
-        assert record.latency_ms >= 0
-        seen_starts.append(record.start_ns)
+    rows = sorted(
+        zip(completed.start_ns, completed.finish_ns, completed.requests),
+        key=lambda row: (row[0], row[2].request_id),
+    )
+    for start_ns, finish_ns, request in rows:
+        assert start_ns >= request.arrival_ns - 1e-9
+        assert finish_ns > start_ns
+        assert finish_ns >= request.arrival_ns  # latency >= 0
+        seen_starts.append(start_ns)
     assert seen_starts == sorted(seen_starts)
