@@ -42,7 +42,12 @@ from repro.core.config import dtu2_config
 from repro.core.datatypes import DType
 from repro.graph.builder import GraphBuilder
 from repro.graph.ir import Graph, GraphError, GraphValidationError
-from repro.graph.onnx_like import export_graph, import_graph
+from repro.graph.onnx_like import (
+    _attrs_from_json,
+    _shape_from_json,
+    export_graph,
+    import_graph,
+)
 from repro.graph.passes import optimize
 from repro.graph.reference import ReferenceExecutor
 from repro.seeding import derive_rng
@@ -380,12 +385,12 @@ def minimize(graph: Graph, predicate) -> Graph:
     """
     # Lenient clone (document round trip): malformed graphs can carry
     # corruptions Node's constructor would reject, so bind({}) won't do.
-    current = _graph_from_document(_corpus_document(graph))
+    current = _graph_from_document(export_graph(graph))
     shrinking = True
     while shrinking:
         shrinking = False
         for index in range(len(current.nodes)):
-            candidate = _graph_from_document(_corpus_document(current))
+            candidate = _graph_from_document(export_graph(current))
             removed = candidate.nodes.pop(index)
             produced = {
                 output
@@ -437,38 +442,6 @@ def minimize_failure(graph: Graph, provenance: str) -> Graph:
 CORPUS_DIR = Path("tests/graph/corpus")
 
 
-def _corpus_document(graph: Graph) -> dict:
-    """Export that survives malformed graphs (mutations break invariants
-    that :func:`export_graph` assumes, e.g. non-string refs)."""
-    return {
-        "format_version": 1,
-        "name": graph.name,
-        "inputs": list(graph.inputs),
-        "outputs": list(graph.outputs),
-        "initializers": sorted(graph.initializers),
-        "tensor_types": {
-            name: {
-                "shape": list(tensor_type.shape),
-                "dtype": tensor_type.dtype.name,
-            }
-            for name, tensor_type in sorted(graph.tensor_types.items())
-        },
-        "nodes": [
-            {
-                "name": node.name,
-                "op_type": node.op_type,
-                "inputs": list(node.inputs),
-                "outputs": list(node.outputs),
-                "attrs": {
-                    key: list(value) if isinstance(value, tuple) else value
-                    for key, value in node.attrs.items()
-                },
-            }
-            for node in graph.nodes
-        ],
-    }
-
-
 def _graph_from_document(document: dict) -> Graph:
     """Lenient loader for corpus replay: builds the (malformed) graph
     without validating, so the replay exercises the pipeline's checks."""
@@ -481,10 +454,7 @@ def _graph_from_document(document: dict) -> Graph:
         initializers=set(document["initializers"]),
         tensor_types={
             name: TensorType(
-                shape=tuple(
-                    dim if isinstance(dim, str) else int(dim)
-                    for dim in entry["shape"]
-                ),
+                shape=_shape_from_json(entry["shape"]),
                 dtype=DType[entry["dtype"]],
             )
             for name, entry in document["tensor_types"].items()
@@ -496,12 +466,7 @@ def _graph_from_document(document: dict) -> Graph:
         node.op_type = entry["op_type"]
         node.inputs = list(entry["inputs"])
         node.outputs = list(entry["outputs"])
-        node.attrs = {
-            key: tuple(value)
-            if key in ("shape", "axes", "pads") and isinstance(value, list)
-            else value
-            for key, value in entry.get("attrs", {}).items()
-        }
+        node.attrs = _attrs_from_json(entry.get("attrs", {}))
         graph.nodes.append(node)
     return graph
 
@@ -532,7 +497,7 @@ def write_corpus(seed: int = 0, directory: Path | None = None) -> list[Path]:
             "error_type": error[0],
             "error_message": error[1],
             "provenance": str(provenance),
-            "document": _corpus_document(minimized),
+            "document": export_graph(minimized),
         }
         path = directory / f"{mutation}.json"
         path.write_text(json.dumps(entry, indent=1, sort_keys=True) + "\n")
