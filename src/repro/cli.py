@@ -234,9 +234,7 @@ def _cmd_profile(args) -> int:
         return 2
     obs = Observability()
     device = Device.open(args.device, obs=obs)
-    compiled = device.compile(
-        build(args.model), batch=args.batch, verify_fusion=True
-    )
+    compiled = device.compile(build(args.model), batch=args.batch)
     result = device.launch(compiled, num_groups=args.groups)
     registry = obs.metrics
 
@@ -340,22 +338,6 @@ def _cmd_profile(args) -> int:
               f"{int(hits.value(cache=name)):>7} "
               f"{int(misses.value(cache=name)):>7} "
               f"{rate.value(cache=name):>7.1%}")
-    print()
-
-    # Fusion equivalence guard: the compile above ran with
-    # verify_fusion=True, so check outcomes (and any fallbacks) are in
-    # the same registry. On a cache hit the guard already ran when the
-    # entry was built, so zero checks here just means "cached".
-    header = f"{'fusion guard':<28} {'value':>8}"
-    print(header)
-    print("-" * len(header))
-    checks = registry.get("fusion_guard_checks_total")
-    for outcome in ("ok", "mismatch", "skipped"):
-        value = checks.value(result=outcome) if checks is not None else 0.0
-        print(f"{'checks{result=' + outcome + '}':<28} {value:>8.0f}")
-    fallbacks = registry.get("fusion_guard_fallbacks_total")
-    print(f"{'fallbacks':<28} "
-          f"{fallbacks.total() if fallbacks is not None else 0.0:>8.0f}")
 
     return _profile_fleet(obs) if args.fleet else 0
 

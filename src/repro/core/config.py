@@ -60,10 +60,6 @@ class MemoryLevelConfig:
     ports: int
     latency_ns: float
 
-    @property
-    def total_bandwidth_gbps(self) -> float:
-        return self.bandwidth_gbps * self.ports
-
 
 @dataclass(frozen=True)
 class ChipConfig:

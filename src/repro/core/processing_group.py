@@ -39,10 +39,6 @@ class ProcessingGroup:
     icaches: list[InstructionBuffer]
 
     @property
-    def num_cores(self) -> int:
-        return len(self.l1)
-
-    @property
     def name(self) -> str:
         return str(self.group_id)
 

@@ -53,10 +53,6 @@ class VmmPattern:
         return self.cols if self.transposed else self.rows
 
     @property
-    def output_length(self) -> int:
-        return self.rows if self.transposed else self.cols
-
-    @property
     def macs(self) -> int:
         return self.rows * self.cols
 

@@ -258,9 +258,3 @@ class FaultInjector:
         return self._silent(
             self.plan.sdc_dma_rate, "sdc.dma", engine, time_ns, label
         )
-
-    def silent_sparse(self, component: str, label: str, time_ns: float) -> bool:
-        """Per-decompression draw: the sparse codec emitted wrong values."""
-        return self._silent(
-            self.plan.sdc_sparse_rate, "sdc.sparse", component, time_ns, label
-        )

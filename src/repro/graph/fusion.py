@@ -47,11 +47,6 @@ class FusionReport:
     nodes_before: int
     nodes_after: int
 
-    @property
-    def eliminated_tensors(self) -> int:
-        """Intermediates no longer materialized to memory."""
-        return self.nodes_fused - self.groups
-
 
 def _single_consumer_chain(
     graph: Graph, start: Node, consumers: dict[str, list[Node]]

@@ -219,18 +219,6 @@ class _AllOfGate:
             )
 
 
-class _CallbackWaiter:
-    """Adapter letting plain callables sit in an event's waiter list."""
-
-    __slots__ = ("_callback",)
-
-    def __init__(self, callback) -> None:
-        self._callback = callback
-
-    def _resume(self, value) -> None:
-        self._callback(value)
-
-
 class Process:
     """A running generator inside the simulator.
 
