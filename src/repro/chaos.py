@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
+from repro.core.errors import ReproRuntimeError
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule, StormPhase
 from repro.obs import Observability
@@ -141,6 +142,27 @@ class ChaosScenario:
     sdc_detection_latency_ms: float | None = None
     """Bound on the worst injection-to-detection latency of caught
     events (None = unbounded)."""
+
+    def __post_init__(self) -> None:
+        def reject(message: str) -> None:
+            raise ReproRuntimeError(f"ChaosScenario {self.name!r}: {message}")
+
+        # Each field below reads a layer the scenario must also attach;
+        # without it the field would pass vacuously or be skipped.
+        if self.class_availability_floors and self.admission is None:
+            reject("class_availability_floors needs an admission policy")
+        if self.cap_multipliers and self.powercap is None:
+            reject("cap_multipliers needs a powercap config")
+        if self.max_sdc_served and self.sdc is None:
+            reject("max_sdc_served needs an sdc config")
+        if self.sdc_detection_latency_ms is not None and self.sdc is None:
+            reject("sdc_detection_latency_ms needs an sdc config")
+        overload = self.overload_multipliers
+        if any(b <= a for a, b in zip(overload, overload[1:])):
+            reject(f"overload_multipliers must ascend, got {overload}")
+        caps = self.cap_multipliers
+        if any(b >= a for a, b in zip(caps, caps[1:])):
+            reject(f"cap_multipliers must descend, got {caps}")
 
 
 @dataclass
@@ -564,7 +586,7 @@ def declared_invariants(scenario: ChaosScenario) -> list[str]:
         names += ["end-to-end-correctness", "undefended-exposure"]
     if scenario.overload_multipliers:
         names.append("shed-monotonicity")
-    if scenario.cap_multipliers and scenario.powercap is not None:
+    if scenario.cap_multipliers:
         names.append("cap-monotonicity")
     return names
 
@@ -934,7 +956,7 @@ def run_scenario(
             scenario, seed, fleet_config, service_times, violations
         )
     cap_sweep = None
-    if scenario.cap_multipliers and scenario.powercap is not None:
+    if scenario.cap_multipliers:
         cap_sweep = _cap_sweep(
             scenario, seed, fleet_config, service_times, violations
         )

@@ -291,17 +291,12 @@ def _cmd_profile(args) -> int:
     print()
 
     # Engine-core table: dispatch + fast-path accounting the executor
-    # exported after the launch (docs/sim-internals.md); pool reuse is
-    # process-wide Timeout interning.
+    # exported after the launch (docs/sim-internals.md).
     from repro.sim.parallel import export_shard_metrics
 
     export_shard_metrics(registry)
     dispatched = registry.get("sim_events_dispatched")
     steps = registry.get("sim_time_steps")
-    pool_hits = registry.get("sim_timeout_pool_hits")
-    pool_misses = registry.get("sim_timeout_pool_misses")
-    hits = pool_hits.value() if pool_hits is not None else 0.0
-    misses = pool_misses.value() if pool_misses is not None else 0.0
     header = f"{'engine core':<28} {'value':>10}"
     print(header)
     print("-" * len(header))
@@ -311,8 +306,6 @@ def _cmd_profile(args) -> int:
           f"{dispatched.value(engine=engine) if dispatched else 0.0:>10.0f}")
     print(f"{'clock time steps':<28} "
           f"{steps.value(engine=engine) if steps else 0.0:>10.0f}")
-    pool_rate = hits / (hits + misses) if hits + misses else 0.0
-    print(f"{'timeout pool reuse rate':<28} {pool_rate:>10.1%}")
     shard_wall = registry.get("sim_shard_wall_seconds")
     if shard_wall is not None:
         for labels, value in shard_wall.samples():

@@ -1220,12 +1220,6 @@ class Executor:
         metrics.gauge(
             "sim_time_steps", "distinct timestamps the clock stepped through"
         ).set(getattr(sim, "time_steps", 0), engine=sim.engine)
-        metrics.gauge(
-            "sim_timeout_pool_hits", "interned Timeout reuses (process-wide)"
-        ).set(Timeout.pool_hits)
-        metrics.gauge(
-            "sim_timeout_pool_misses", "Timeout allocations (process-wide)"
-        ).set(Timeout.pool_misses)
 
         # hardware counters mirrored from the results.
         if results:

@@ -154,18 +154,22 @@ class FleetTenantStats:
     failed: int = 0
     shed: int = 0
     """Every dropped-before-service request (admission + no capacity)."""
-    shed_no_capacity: int = 0
-    """Subset of ``shed`` that arrived while zero replicas were active."""
     hedged: int = 0
     """Served-or-failed requests that needed >= 1 re-dispatch."""
     p50_ms: float = 0.0
     p95_ms: float = 0.0
     p99_ms: float = 0.0
     shed_reasons: dict[str, int] = field(default_factory=dict)
-    """Shed counts by admission reason (``queue-full``/``deadline``/
-    ``brownout``/``no-capacity``); empty without an admission policy."""
+    """Shed counts by reason: ``queue-full``/``deadline``/``brownout``
+    from the admission door, ``no-capacity`` when no replica could take
+    the request; empty when nothing was shed."""
     by_class: dict[str, SloClassStats] = field(default_factory=dict)
     """Per-SLO-class breakdown (populated when admission is attached)."""
+
+    @property
+    def shed_no_capacity(self) -> int:
+        """Subset of ``shed`` that arrived while zero replicas were active."""
+        return self.shed_reasons.get("no-capacity", 0)
 
     @property
     def availability(self) -> float:
@@ -619,7 +623,6 @@ class FleetManager:
             # routing pool but cannot take traffic, so a fully parked
             # fleet sheds for lack of capacity like a fully quarantined one.
             if not router.routable_count():
-                tenant_stats.shed_no_capacity += 1
                 self._note_shed(tenant_stats, book, request, "no-capacity")
                 continue
             # Admission at the fleet door. An AdmissionPolicy gives the
@@ -654,7 +657,6 @@ class FleetManager:
             )
             if hedges:
                 tenant_stats.hedged += len(members)
-                counters.hedged_requests += len(members)
             # A batch shares its head's tenant and SLO class.
             served = latencies[request.tenant]
             class_served = (
@@ -1330,7 +1332,7 @@ class FleetManager:
             devices=devices,
             events=events,
             failovers=counters.failovers,
-            hedged_requests=counters.hedged_requests,
+            hedged_requests=sum(entry.hedged for entry in stats.values()),
             quarantines=kinds["quarantined"],
             repairs=kinds["repaired"],
             repair_failures=kinds["repair_failed"],
@@ -1529,7 +1531,6 @@ class _RunCounters:
     """Fleet-wide tallies of one run."""
 
     failovers: int = 0
-    hedged_requests: int = 0
     min_healthy: int = 0
 
     def note_healthy(self, active: int) -> None:

@@ -7,8 +7,8 @@ not one per board. This module adds the coordination layer:
 - :class:`FleetPowerGovernor` owns a fleet power budget (optionally
   storm-shaped over time by :class:`PowerCapPhase` step/ramp/oscillate
   cuts) and re-apportions it into per-device caps every governor window
-  from the draw each device showed in the window just ended
-  (``proportional`` / ``priority`` / ``fair-share`` policies);
+  from the draw each device showed in the window just ended, in
+  proportion to each active device's demand above idle;
 - each device cap is actuated through the modelled paper machinery: the
   device's :class:`~repro.power.cpme.Cpme` is re-capped via
   ``set_power_limit`` (reserve shrinks, LPME budgets claw back toward
@@ -35,8 +35,8 @@ the same trace, config and seed produce byte-identical window rows,
 energy totals and reports. With no governor attached the fleet path is
 untouched (bit-identical to a build without this module).
 
-See docs/power.md for the loop diagram, policy table and the perf/W
-accounting convention.
+See docs/power.md for the loop diagram, the apportionment rule and the
+perf/W accounting convention.
 """
 
 from __future__ import annotations
@@ -55,10 +55,7 @@ __all__ = [
     "FleetPowerGovernor",
     "PowerCapConfig",
     "PowerCapPhase",
-    "POWERCAP_POLICIES",
 ]
-
-POWERCAP_POLICIES = ("proportional", "priority", "fair-share")
 
 _PHASE_SHAPES = ("step", "ramp", "oscillate")
 
@@ -144,10 +141,6 @@ class PowerCapConfig:
 
     fleet_budget_watts: float
     """Base rack/datacenter budget the governor apportions."""
-    policy: str = "proportional"
-    """Apportionment: ``proportional`` (to observed draw above idle),
-    ``priority`` (device index order, first-come-first-capped) or
-    ``fair-share`` (equal surplus split)."""
     phases: tuple[PowerCapPhase, ...] = ()
     """Scheduled budget cuts; the latest active phase wins."""
 
@@ -158,11 +151,6 @@ class PowerCapConfig:
         reject_non_finite(self)
         if self.fleet_budget_watts <= 0:
             reject(f"fleet_budget_watts must be > 0, got {self.fleet_budget_watts}")
-        if self.policy not in POWERCAP_POLICIES:
-            reject(
-                f"unknown policy {self.policy!r} "
-                f"(expected one of {POWERCAP_POLICIES})"
-            )
 
     def budget_at(self, t_ns: float) -> float:
         """Fleet budget in force at ``t_ns`` (latest active phase wins)."""
@@ -395,7 +383,8 @@ class FleetPowerGovernor:
         """Distribute ``budget`` into per-device caps; returns parked count.
 
         Every powered device is floored at idle; the surplus goes to
-        active devices by policy, then any clamped-off leftover is
+        active devices in proportion to their demand (equally when none
+        shows any), then any clamped-off leftover is
         re-offered in index order so surplus never strands while a
         device throttles. Caps are allocated against a running remainder
         so their float sum can never exceed the budget. Devices the
@@ -437,40 +426,29 @@ class FleetPowerGovernor:
             key=lambda state: state.index,
         )
         surplus = budget - idle * len(keep)
-        if self.config.policy == "proportional":
-            # state.index doubles as the position in the device list.
-            weights = [max(0.0, demands[state.index]) for state in actives]
-            if sum(weights) <= 0:
-                weights = [1.0] * len(actives)
-        elif self.config.policy == "fair-share":
+        # state.index doubles as the position in the device list.
+        weights = [max(0.0, demands[state.index]) for state in actives]
+        if sum(weights) <= 0:
             weights = [1.0] * len(actives)
-        else:  # priority: index order takes peak headroom first
-            weights = None
         remaining = surplus
         grants: dict[int, float] = {}
-        if weights is None:
-            for state in actives:
-                give = min(peak - idle, remaining)
-                grants[state.index] = give
+        total = sum(weights)
+        for state, weight in zip(actives, weights):
+            share = surplus * weight / total if total > 0 else 0.0
+            give = min(peak - idle, share, remaining)
+            grants[state.index] = give
+            remaining -= give
+        # Top-up pass: shares clamped at peak leave surplus behind;
+        # re-offer it in index order so a generous budget lifts
+        # every device to peak instead of stranding watts.
+        for state in actives:
+            if remaining <= 1e-12:
+                break
+            room = (peak - idle) - grants[state.index]
+            if room > 0.0:
+                give = min(room, remaining)
+                grants[state.index] += give
                 remaining -= give
-        else:
-            total = sum(weights)
-            for state, weight in zip(actives, weights):
-                share = surplus * weight / total if total > 0 else 0.0
-                give = min(peak - idle, share, remaining)
-                grants[state.index] = give
-                remaining -= give
-            # Top-up pass: shares clamped at peak leave surplus behind;
-            # re-offer it in index order so a generous budget lifts
-            # every device to peak instead of stranding watts.
-            for state in actives:
-                if remaining <= 1e-12:
-                    break
-                room = (peak - idle) - grants[state.index]
-                if room > 0.0:
-                    give = min(room, remaining)
-                    grants[state.index] += give
-                    remaining -= give
         changed = False
         for state, status in keep:
             state.parked = False
@@ -577,7 +555,8 @@ class FleetPowerGovernor:
                 "parked_windows": state.parked_windows,
             }
         return {
-            "policy": cfg.policy,
+            # The only apportionment; the key stays for report consumers.
+            "policy": "proportional",
             "budget_watts": cfg.fleet_budget_watts,
             "window_ms": WINDOW_MS,
             "windows": self.windows,

@@ -28,9 +28,8 @@ Two interchangeable event cores implement the same scheduling contract:
 
 - :class:`Simulator` — the default fast engine: same-timestamp wakeups are
   drained in one batch (the clock is written once per distinct time, not
-  once per event), :class:`Timeout` objects are interned so repeated
-  delays allocate nothing, and :class:`AllOf` joins use counting gates
-  instead of closure chains;
+  once per event), and :class:`AllOf` joins use counting gates instead
+  of closure chains;
 - :class:`~repro.sim.kernel_reference.ReferenceSimulator` — the pinned
   original loop (one pop + one resume per event), kept as the
   bit-reproducibility anchor.
@@ -113,60 +112,19 @@ class Event:
 
 
 class Timeout:
-    """Yielded by a process to advance simulated time by ``delay``.
-
-    Timeouts are immutable value objects and are **interned**: the engine
-    keeps a bounded pool keyed on ``delay``, so the hot loops that sleep
-    for the same durations over and over (DMA configuration overhead,
-    power-manager windows, per-tile transfer times) reuse one object
-    instead of allocating per event. ``pool_hits`` / ``pool_misses`` feed
-    the ``sim_timeout_pool_*`` observability gauges.
-    """
+    """Yielded by a process to advance simulated time by ``delay``."""
 
     __slots__ = ("delay",)
 
-    _pool: dict = {}
-    _POOL_LIMIT = 1024
-    #: process-wide interning statistics (monotonic)
-    pool_hits: int = 0
-    pool_misses: int = 0
-
-    def __new__(cls, delay: float) -> "Timeout":
-        cached = cls._pool.get(delay)
-        if cached is not None:
-            cls.pool_hits += 1
-            return cached
+    def __init__(self, delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout: {delay}")
         if delay != delay:
             raise ValueError("NaN timeout: a process would wake at the current time")
-        self = super().__new__(cls)
-        object.__setattr__(self, "delay", delay)
-        pool = cls._pool
-        if len(pool) < cls._POOL_LIMIT:
-            pool[delay] = self
-        cls.pool_misses += 1
-        return self
-
-    def __setattr__(self, name, value):  # frozen: pooled instances are shared
-        raise AttributeError(f"Timeout is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Timeout is immutable; cannot delete {name!r}")
+        self.delay = delay
 
     def __repr__(self) -> str:
         return f"Timeout(delay={self.delay})"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Timeout):
-            return self.delay == other.delay
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((Timeout, self.delay))
-
-    def __reduce__(self):  # re-intern on unpickle
-        return (Timeout, (self.delay,))
 
 
 class AllOf:

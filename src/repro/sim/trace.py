@@ -24,12 +24,6 @@ accumulate positive segment lengths left-to-right in the same
 ``(start, end)`` lexicographic order — so its results are bit-identical,
 not merely close. ``_busy_time_reference`` retains the original scan as
 the pinned oracle.
-
-Interval ordering: intervals carry a per-trace ``seq`` assigned at record
-time, and compare by ``(start, end, seq)`` — a total order defined purely
-by time and sequence, never by object identity, so sorting or merging
-interval streams (e.g. the sharded parallel runner's trace merge) is
-deterministic across processes and runs.
 """
 
 from __future__ import annotations
@@ -43,8 +37,7 @@ class Interval:
     """One engine activity: ``engine`` was busy on ``label`` in [start, end).
 
     ``seq`` is the interval's position in its trace's record order (0 for
-    hand-built intervals). Intervals are immutable value objects with a
-    total order by ``(start, end, seq)``.
+    hand-built intervals).
     """
 
     __slots__ = ("engine", "label", "start", "end", "seq")
@@ -76,29 +69,6 @@ class Interval:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    def _key(self):
-        return (self.start, self.end, self.seq)
-
-    def __lt__(self, other: "Interval") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Interval") -> bool:
-        return self._key() <= other._key()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Interval):
-            return (
-                self.engine == other.engine
-                and self.label == other.label
-                and self.start == other.start
-                and self.end == other.end
-                and self.seq == other.seq
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.engine, self.label, self.start, self.end, self.seq))
 
     def __repr__(self) -> str:
         return (

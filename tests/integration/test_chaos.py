@@ -26,6 +26,7 @@ from repro.chaos import (
     scenario_names,
 )
 from repro.cli import main
+from repro.core.errors import ReproRuntimeError
 from repro.serving.fleet import FleetTenantStats, LifecycleEvent
 from repro.serving.powercap import PowerCapConfig
 
@@ -125,6 +126,31 @@ class TestSuite:
             "overload_multipliers", "powercap", "cap_multipliers", "sdc",
             "max_sdc_served", "sdc_detection_latency_ms",
         ]
+
+
+class TestScenarioValidation:
+    """A field that cannot take effect is rejected, naming the field."""
+
+    @pytest.mark.parametrize(
+        "base, field, value",
+        [
+            ("baseline", "class_availability_floors", (("interactive", 0.9),)),
+            ("baseline", "cap_multipliers", (1.0, 0.85)),
+            ("baseline", "max_sdc_served", 3),
+            ("baseline", "sdc_detection_latency_ms", 50.0),
+            ("overload-storm", "overload_multipliers", (1.0, 0.5)),
+            ("overload-storm", "overload_multipliers", (1.0, 1.0)),
+            ("power-cap-storm", "cap_multipliers", (0.75, 1.0)),
+        ],
+        ids=[
+            "floors-without-admission", "caps-without-powercap",
+            "sdc-ceiling-without-sdc", "sdc-latency-without-sdc",
+            "overload-descending", "overload-repeated", "caps-ascending",
+        ],
+    )
+    def test_rejected(self, base, field, value):
+        with pytest.raises(ReproRuntimeError, match=field):
+            dataclasses.replace(SCENARIOS[base], **{field: value})
 
 
 class TestInvariantChecks:

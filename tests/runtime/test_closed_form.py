@@ -45,12 +45,8 @@ spec = importlib.util.spec_from_file_location(
 launch_golden = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(launch_golden)
 
-#: gauges over work the closed form skips: dispatches, clock steps and
-#: the process-wide Timeout pool
-ENGINE_GAUGES = {
-    "sim_events_dispatched", "sim_time_steps", "sim_timeout_pool_hits",
-    "sim_timeout_pool_misses",
-}
+#: gauges over work the closed form skips: dispatches and clock steps
+ENGINE_GAUGES = {"sim_events_dispatched", "sim_time_steps"}
 
 
 @pytest.fixture

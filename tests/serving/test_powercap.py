@@ -58,14 +58,12 @@ class TestPowerCapConfig:
         # The envelope and peak draw are the chip's; the rest of the
         # governor's tuning is module constants.
         assert [f.name for f in fields(PowerCapConfig)] == [
-            "fleet_budget_watts", "policy", "phases",
+            "fleet_budget_watts", "phases",
         ]
 
     def test_rejects_bad_values(self):
         with pytest.raises(ReproRuntimeError):
             PowerCapConfig(fleet_budget_watts=0.0)
-        with pytest.raises(ReproRuntimeError):
-            PowerCapConfig(fleet_budget_watts=300.0, policy="greedy")
 
     def test_phase_validation(self):
         with pytest.raises(ReproRuntimeError):
@@ -113,7 +111,6 @@ class TestPowerCapConfig:
         tight = config.scaled(0.5)
         assert tight.fleet_budget_watts == 200.0
         assert tight.phases[0].budget_watts == 150.0
-        assert tight.policy == config.policy
 
 
 class TestApportionment:
@@ -148,27 +145,6 @@ class TestApportionment:
         governor.close_window(governor.window_ns, statuses)
         caps = _caps(governor)
         assert caps[0] > caps[1]
-
-    def test_fair_share_splits_equally(self):
-        governor, replicas = _governor(
-            n=2, fleet_budget_watts=220.0, policy="fair-share"
-        )
-        statuses = [r.status for r in replicas]
-        governor.note_busy(0, 0.0, governor.window_ns)
-        governor.close_window(governor.window_ns, statuses)
-        caps = _caps(governor)
-        assert caps[0] == pytest.approx(caps[1])
-
-    def test_priority_feeds_low_indexes_first(self):
-        governor, _ = _governor(
-            n=3, fleet_budget_watts=300.0, policy="priority"
-        )
-        caps = _caps(governor)
-        # floors 135, surplus 165: device 0 reaches peak (105), device 1
-        # takes the remaining 60, device 2 idles at its floor.
-        assert caps[0] == pytest.approx(150.0)
-        assert caps[1] == pytest.approx(105.0)
-        assert caps[2] == pytest.approx(45.0)
 
     def test_parks_standby_before_active(self):
         governor, _ = _governor(

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import ReproRuntimeError
 from repro.serving import (
     InferenceServer,
-    RasConfig,
     Request,
     TenantConfig,
     TrafficPattern,
@@ -225,8 +224,8 @@ class TestIsolation:
 
 
 class TestNonFiniteArrivals:
-    """A NaN or infinite arrival fails typed, naming the request, whether
-    the request was served or shed at the door."""
+    """A NaN or infinite arrival fails typed, naming the request, before
+    anything is served (``validate_trace``)."""
 
     @staticmethod
     def _trace(bad, at):
@@ -243,21 +242,6 @@ class TestNonFiniteArrivals:
             ReproRuntimeError, match=r"request 3: arrival_ns must be finite"
         ):
             _server(isolated=isolated).run(self._trace(bad, 3))
-
-    @pytest.mark.parametrize(
-        "bad", [math.nan, -math.inf], ids=["nan", "-inf"]
-    )
-    def test_rejected_when_shed(self, bad):
-        # Neither value prunes the queue: a one-deep queue still holding
-        # request 0 sheds request 3, which is never served.
-        server = InferenceServer(
-            _tenants(), service_times_ns=dict(SERVICE),
-            ras=RasConfig(queue_depth_limit=1),
-        )
-        with pytest.raises(
-            ReproRuntimeError, match=r"request 3: arrival_ns must be finite"
-        ):
-            server.run(self._trace(bad, 3))
 
 
 class TestRequestContract:

@@ -1,7 +1,7 @@
 """Fast engine vs pinned reference engine: byte-identical, not merely close.
 
 The fast :class:`repro.sim.kernel.Simulator` batches same-timestamp
-wakeups, interns :class:`Timeout` objects and counts dispatches; the
+wakeups and counts dispatches; the
 :class:`repro.sim.kernel_reference.ReferenceSimulator` is the original
 one-pop-per-event loop. Both implement the same scheduling contract
 (docs/sim-internals.md): the queue is ordered by ``(time, sequence)``,
@@ -24,7 +24,6 @@ import pytest
 
 from repro.sim.kernel import AllOf, Resource, Simulator, Timeout
 from repro.sim.kernel_reference import ReferenceSimulator
-from repro.sim.trace import Interval
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +36,7 @@ def _scripts(seed: int) -> list[list[tuple[str, float]]]:
 
     Delays are drawn from a small pool on purpose: repeated values force
     same-timestamp ties (exercising the fast engine's batched drain and
-    the tie-break rule) and Timeout-interning hits.
+    the tie-break rule).
     """
     rng = random.Random(seed)
     pool = [0.0, 1.0, 1.0, 2.5, 4.0, round(rng.uniform(0.1, 9.9), 3)]
@@ -152,22 +151,6 @@ def test_interleaved_timer_ties_fire_in_scheduling_order(engine):
     assert fired == ["a", "b", "c", "d"]
 
 
-def test_interval_order_is_time_and_sequence_only():
-    """Interval comparison must be a pure (start, end, seq) key."""
-    a = Interval("mxu", "k0", 1.0, 2.0, seq=0)
-    b = Interval("vpu", "k1", 1.0, 2.0, seq=1)
-    clone = Interval("dma", "k2", 1.0, 2.0, seq=0)
-    assert a < b and not b < a
-    # identical keys: neither orders before the other, whatever id() says
-    assert not a < clone and not clone < a
-    assert a <= clone and clone <= a
-    assert sorted([b, a]) == [a, b]
-    # equal keys sort stably: input order, never id() order
-    assert [i._key() for i in sorted([b, clone, a])] == [
-        (1.0, 2.0, 0), (1.0, 2.0, 0), (1.0, 2.0, 1),
-    ]
-
-
 def test_trace_record_assigns_monotonic_seq():
     from repro.sim.trace import Trace
 
@@ -175,7 +158,8 @@ def test_trace_record_assigns_monotonic_seq():
     for index in range(5):
         trace.record("mxu", "k", 1.0, 2.0)  # identical times on purpose
     assert [interval.seq for interval in trace.intervals] == list(range(5))
-    assert sorted(trace.intervals) == trace.intervals
+    keys = [(i.start, i.end, i.seq) for i in trace.intervals]
+    assert sorted(keys) == keys
 
 
 # ---------------------------------------------------------------------------

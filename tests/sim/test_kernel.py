@@ -30,11 +30,8 @@ def test_negative_timeout_rejected():
 
 def test_nan_timeout_rejected():
     """A NaN delay would wake the process at the current time."""
-    misses = Timeout.pool_misses
     with pytest.raises(ValueError, match="NaN"):
         Timeout(float("nan"))
-    assert not any(delay != delay for delay in Timeout._pool)
-    assert Timeout.pool_misses == misses
 
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])

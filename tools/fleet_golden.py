@@ -12,8 +12,7 @@ which cards launch, when, and what they report:
   repaired by real probe launches;
 - observability: detached, or an attached hub. With a hub the cell also
   holds its JSON metrics snapshot and its Chrome trace events, so every
-  span and metric a launch reports is pinned (bar the two process-wide
-  Timeout-pool gauges).
+  span and metric a launch reports is pinned.
 
 Traffic is one seeded two-tenant trace; service times are given
 explicitly, so only validation and probe launches run the simulator.
@@ -58,10 +57,6 @@ BRINGUPS = ("lazy", "validate")
 FAULTS = ("quiet", "kill")
 OBS = ("detached", "hub")
 FEATURES = ("scaling", "powercap", "sdc")
-
-# Gauges over the simulator's process-wide Timeout pool: their values
-# depend on everything that ran earlier in the process, not on the fleet.
-PROCESS_WIDE = {"sim_timeout_pool_hits", "sim_timeout_pool_misses"}
 
 
 def _trace():
@@ -226,10 +221,7 @@ def _run(fleet, trace, obs, trace_events: bool = True) -> dict:
 
     cell = {"report": fleet.run(trace).to_dict()}
     if obs is not None:
-        cell["metrics"] = [
-            metric for metric in to_json_snapshot(obs)["metrics"]
-            if metric["name"] not in PROCESS_WIDE
-        ]
+        cell["metrics"] = to_json_snapshot(obs)["metrics"]
         if trace_events:
             cell["trace_events"] = to_chrome_trace(obs.tracer)["traceEvents"]
     return cell
