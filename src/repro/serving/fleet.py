@@ -50,6 +50,7 @@ from repro.serving.routing import Backlog, HeapRouter, ReplicaStatus
 from repro.serving.server import (
     ClassBook,
     RasConfig,
+    RequestLedger,
     SloClassStats,
     TenantConfig,
     backoff_ns,
@@ -145,8 +146,10 @@ class LifecycleEvent:
 
 
 @dataclass
-class FleetTenantStats:
-    """Per-tenant request accounting over one fleet run."""
+class FleetTenantStats(RequestLedger):
+    """Per-tenant request accounting over one fleet run; its
+    ``availability_while_healthy`` is the floor the chaos invariants hold
+    the fleet to."""
 
     tenant: str
     offered: int = 0
@@ -169,23 +172,7 @@ class FleetTenantStats:
     @property
     def shed_no_capacity(self) -> int:
         """Subset of ``shed`` that arrived while zero replicas were active."""
-        return self.shed_reasons.get("no-capacity", 0)
-
-    @property
-    def availability(self) -> float:
-        """Served / offered over the whole run (1.0 on zero offered)."""
-        if self.offered == 0:
-            return 1.0
-        return self.served / self.offered
-
-    @property
-    def availability_while_healthy(self) -> float:
-        """Served / offered among requests arriving with >= 1 active
-        replica — the floor the chaos invariants hold the fleet to."""
-        eligible = self.offered - self.shed_no_capacity
-        if eligible == 0:
-            return 1.0
-        return self.served / eligible
+        return self.shed_for("no-capacity")
 
     def to_dict(self) -> dict:
         return {
