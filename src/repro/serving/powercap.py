@@ -434,7 +434,7 @@ class FleetPowerGovernor:
         grants: dict[int, float] = {}
         total = sum(weights)
         for state, weight in zip(actives, weights):
-            share = surplus * weight / total if total > 0 else 0.0
+            share = surplus * weight / total
             give = min(peak - idle, share, remaining)
             grants[state.index] = give
             remaining -= give

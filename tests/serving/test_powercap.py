@@ -146,6 +146,18 @@ class TestApportionment:
         caps = _caps(governor)
         assert caps[0] > caps[1]
 
+    def test_idle_round_splits_surplus_equally(self):
+        """No device shows demand: the weights fall back to all ones, so
+        the surplus over the idle floors is split equally."""
+        governor, replicas = _governor(n=3, fleet_budget_watts=240.0)
+        governor.close_window(
+            governor.window_ns, [r.status for r in replicas]
+        )
+        caps = _caps(governor)
+        assert caps[0] == caps[1] == caps[2]
+        assert sum(caps) == pytest.approx(240.0)
+        assert caps[0] < 150.0  # the top-up pass has nothing to lift
+
     def test_parks_standby_before_active(self):
         governor, _ = _governor(
             n=3,
